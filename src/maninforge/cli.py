@@ -99,28 +99,15 @@ def _save_op_cache(space, root):
 # cheap cost estimate (genus formula, no space construction)
 
 
-def _factorization(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _euler_phi(n):
     r = n
-    for p in _factorization(n):
+    for p in inv._factorize(n):
         r = r // p * (p - 1)
     return r
 
 
 def _cuspidal_rank_estimate(n):
-    fac = _factorization(n)
+    fac = inv._factorize(n)
     psi = n
     for p in fac:
         psi = psi // p * (p + 1)
@@ -178,9 +165,10 @@ def main(ctx, cache_dir):
     ctx.obj["cache"] = _cache_root(cache_dir)
 
 
-def _cached_space(ctx, n):
+def _cached_space(root, n):
+    """The level-n space with the operators cached under root loaded."""
     space = build_space(n)
-    _load_op_cache(space, ctx.obj["cache"])
+    _load_op_cache(space, root)
     return space
 
 
@@ -219,13 +207,13 @@ def cmd_decompose(ctx, n, as_json, long_running):
     """List the newform classes at squarefree level n."""
     _require_squarefree(n)
     _gate_long_running(n, long_running)
-    data = inv.level_data(n)
-    _load_op_cache(data.space, ctx.obj["cache"])
-    out = []
-    for cls in data.classes:
-        out.append({"label": f"{cls.label[0]}.{cls.label[1]}",
-                    "dim": cls.dimension})
-    _save_op_cache(data.space, ctx.obj["cache"])
+    space = _cached_space(ctx.obj["cache"], n)
+    try:
+        classes = inv.level_data(n).classes
+    finally:
+        _save_op_cache(space, ctx.obj["cache"])
+    out = [{"label": f"{cls.label[0]}.{cls.label[1]}", "dim": cls.dimension}
+           for cls in classes]
     if as_json:
         click.echo(json.dumps({"level": n, "classes": out}, indent=2))
     else:
@@ -251,7 +239,7 @@ def cmd_invariants(ctx, n, as_json, class_index, primes, long_running):
     prime_list = None
     if primes:
         prime_list = sorted({int(p) for p in primes.split(",")})
-    space = _cached_space(ctx, n)
+    space = _cached_space(ctx.obj["cache"], n)
     try:
         reports = inv.deg_cong_report(n, primes=prime_list,
                                       class_index=class_index)
@@ -287,7 +275,7 @@ def cmd_certify(ctx, n, as_json, long_running):
     """Check deg_f = cong_f prime-by-prime for dimension-1 classes."""
     _require_squarefree(n)
     _gate_long_running(n, long_running)
-    space = _cached_space(ctx, n)
+    space = _cached_space(ctx.obj["cache"], n)
     try:
         certs = inv.manin_certify(n)
     except AssertionError as exc:
@@ -317,8 +305,13 @@ def cmd_certify(ctx, n, as_json, long_running):
         sys.exit(EXIT_VIOLATION)
 
 
-def _scan_level(n):
-    flagged = inv.anomaly_scan(n)
+def _scan_level(n, root):
+    """anomaly_scan at level n, reading and filling the cache under root."""
+    space = _cached_space(root, n)
+    try:
+        flagged = inv.anomaly_scan(n)
+    finally:
+        _save_op_cache(space, root)
     return [
         {
             "label": f"{a['label'][0]}.{a['label'][1]}",
@@ -348,19 +341,15 @@ def cmd_scan(ctx, n_min, n_max, as_json, long_running, threads):
     levels = [n for n in range(n_min, n_max + 1) if is_squarefree(n)]
     for n in levels:
         _gate_long_running(n, long_running)
-    results = {}
+    roots = [ctx.obj["cache"]] * len(levels)
     try:
         if threads > 1:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for n, res in zip(levels, pool.map(_scan_level, levels)):
-                    results[n] = res
+                results = dict(zip(levels, pool.map(_scan_level, levels, roots)))
         else:
-            for n in levels:
-                space = _cached_space(ctx, n)
-                results[n] = _scan_level(n)
-                _save_op_cache(space, ctx.obj["cache"])
+            results = dict(zip(levels, map(_scan_level, levels, roots)))
     except AssertionError as exc:
         click.echo(f"invariant violated: {exc}", err=True)
         sys.exit(EXIT_VIOLATION)

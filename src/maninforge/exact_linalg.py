@@ -688,26 +688,6 @@ def product_is_zero(a_rows, b_rows):
             return True
 
 
-def _det_mod_p(A, p):
-    n = len(A)
-    det = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if A[i][k]), None)
-        if piv is None:
-            return 0
-        if piv != k:
-            A[k], A[piv] = A[piv], A[k]
-            det = -det
-        inv = pow(A[k][k], p - 2, p)
-        det = det * A[k][k] % p
-        for i in range(k + 1, n):
-            if A[i][k]:
-                f = A[i][k] * inv % p
-                Ak = A[k]
-                A[i] = [(x - f * y) % p for x, y in zip(A[i], Ak)]
-    return det % p
-
-
 def det(m):
     """Exact determinant; multimodular CRT above dimension 64."""
     if m.rows != m.cols:
@@ -1256,19 +1236,6 @@ def idempotent_kernel_sublattice(lattice, e):
     m, _d = be.clear_denominators()
     # kernel in basis coordinates: {t : t * (B e) = 0}
     k = kernel_saturated(m.transpose())
-    rows = [
-        [sum(c * b for c, b in zip(t, col)) for col in zip(*lattice.basis.data)]
-        for t in k.basis.data
-    ]
-    return IntLattice(lattice.ambient_dim, rows)
-
-
-def kernel_of_action(lattice, action):
-    """L ∩ Ker(A) for an integer matrix A acting on the ambient (row side)."""
-    if lattice.rank == 0:
-        return lattice
-    ba = lattice.basis * action
-    k = kernel_saturated(ba.transpose())
     rows = [
         [sum(c * b for c, b in zip(t, col)) for col in zip(*lattice.basis.data)]
         for t in k.basis.data

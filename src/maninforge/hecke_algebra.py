@@ -6,6 +6,11 @@ with exact rational idempotents, constructs the orders O_f, and runs the
 local ring diagnostics (maximal ideals, fiber/socle dimensions, Gorenstein
 and DVR tests, saturation, U_p signs).
 
+T and O_f share one ring representation: a Z-basis of matrices for their
+action on S (on S_f for O_f), plus structure constants built on first use.
+Products are contractions with the structure constants, and the
+reductions mod p used by the local diagnostics are those constants mod p.
+
 Large vectorized lattices are handled through a fixed set of pivot
 coordinates: the projection onto those coordinates is injective on the
 rational span of the algebra, so exact membership and coordinate solving
@@ -15,6 +20,7 @@ reduce to a small triangular system, verified against the full matrices.
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, isqrt
 
 import numpy as np
@@ -200,39 +206,29 @@ def _pivot_columns(rows_int64):
 # the algebra
 
 
-@dataclass
-class HeckeAlgebra:
-    """The Hecke algebra T of a level, as a lattice of operators on S."""
+def _combination(coeffs, mats, n):
+    """The n x n matrix sum of c_i * M_i, built as one IntMatrix."""
+    acc = [[0] * n for _ in range(n)]
+    for c, m in zip(coeffs, mats):
+        c = int(c)
+        if c:
+            for a, row in enumerate(m.data):
+                acc[a] = [u + c * x for u, x in zip(acc[a], row)]
+    return IntMatrix(n, n, acc)
 
-    level: int
-    space: object
-    gens: dict
-    basis_mats: tuple
-    rank: int
-    _solver: object = field(repr=False, default=None)
-    _basis_lattice: object = field(repr=False, default=None)
-    _fast_rows: object = field(repr=False, default=None)
 
-    @property
-    def dim_s(self):
-        return self.space.cuspidal_rank
+class _BasisRing:
+    """A commutative ring with a Z-basis of integer matrices: T or O_f.
 
-    @property
-    def basis(self):
-        """The vectorized basis lattice (built on demand; canonical HNF)."""
-        if self._basis_lattice is None:
-            n2 = self.dim_s * self.dim_s
-            rows = [
-                [x for r in m.data for x in r] for m in self.basis_mats
-            ]
-            self._basis_lattice = IntLattice(n2, rows)
-        return self._basis_lattice
-
-    def unit_coords(self):
-        return tuple(self.coords_of(IntMatrix.identity(self.dim_s)))
+    Elements are coordinate vectors in `basis_mats`, which act on a lattice
+    of rank `dim_s`; `_solver` recovers coordinates from a matrix through
+    pivot columns.  Products use the structure constants `mult_table`,
+    built on first use, so no matrix is formed per product; the reductions
+    mod p (`_ModPAlgebra`) read the same table.
+    """
 
     def coords_of(self, mat, verify=False):
-        """Coordinates of an operator in the basis, or None if not in T.
+        """Coordinates of a matrix in the basis, or None if not in the ring.
 
         With verify=True the solution is checked against the full matrix
         (needed when the candidate may lie outside the rational span).
@@ -245,13 +241,16 @@ class HeckeAlgebra:
             return None
         return coords
 
+    @cached_property
+    def _fast_rows(self):
+        """(int64 basis rows or None, largest basis entry, residue cache)."""
+        rows = [[x for r in m.data for x in r] for m in self.basis_mats]
+        bmax = max((abs(x) for r in rows for x in r), default=0)
+        arr = np.array(rows, dtype=np.int64) if 0 < bmax < 2**62 else None
+        return arr, bmax, {}
+
     def _verify_coords(self, coords, row, mat):
         """Exact check that sum coords_i * basis_i reproduces the matrix."""
-        if self._fast_rows is None:
-            rows = [[x for r in m.data for x in r] for m in self.basis_mats]
-            bmax = max((abs(x) for r in rows for x in r), default=0)
-            arr = np.array(rows, dtype=np.int64) if 0 < bmax < 2**62 else None
-            object.__setattr__(self, "_fast_rows", (arr, bmax, {}))
         arr, bmax, prime_cache = self._fast_rows
         cmax = max((abs(int(c)) for c in coords), default=0)
         tmax = max((abs(x) for x in row), default=0)
@@ -281,35 +280,83 @@ class HeckeAlgebra:
                 modulus *= p
                 if modulus >= need:
                     return True
-        acc = None
-        for c, b in zip(coords, self.basis_mats):
-            if c:
-                term = b.scale(c)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = IntMatrix.zeros(mat.rows, mat.cols)
-        return acc == mat
+        return self.matrix_of(coords) == mat
 
     def matrix_of(self, coords):
-        acc = None
-        for c, b in zip(coords, self.basis_mats):
-            if c:
-                term = b.scale(c)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = IntMatrix.zeros(self.dim_s, self.dim_s)
-        return acc
+        return _combination(coords, self.basis_mats, self.dim_s)
+
+    def unit_coords(self):
+        """Coordinates of the identity, checked to lie in the ring."""
+        coords = self.coords_of(IntMatrix.identity(self.dim_s), verify=True)
+        if coords is None:
+            raise ValueError("identity missing from the ring")
+        return tuple(coords)
+
+    @cached_property
+    def mult_table(self):
+        """mult_table[i][j] = coordinates of b_i * b_j.
+
+        The ring is commutative, so d(d+1)/2 products suffice, and only
+        their pivot entries are formed: a product lies in the ring, on
+        whose rational span the pivot projection is injective.
+        """
+        d, n = self.rank, self.dim_s
+        pos = [divmod(c, n) for c in self._solver.pivot_cols]
+        cols = [list(zip(*m.data)) for m in self.basis_mats]
+        table = [[None] * d for _ in range(d)]
+        for i, bi in enumerate(self.basis_mats):
+            for j in range(i, d):
+                w = [sum(x * y for x, y in zip(bi.data[a], cols[j][c]))
+                     for a, c in pos]
+                z = self._solver.solve_projected(w)
+                if z is None:
+                    raise ValueError("ring not closed under multiplication")
+                table[i][j] = table[j][i] = tuple(z)
+        return tuple(tuple(row) for row in table)
+
+    @cached_property
+    def _table_array(self):
+        """mult_table as a (d, d*d) array, int64 when it fits, and its max."""
+        tmax = max((abs(c) for row in self.mult_table for cell in row
+                    for c in cell), default=0)
+        arr = np.array(self.mult_table,
+                       dtype=np.int64 if tmax < 2**63 else object)
+        return arr.reshape(self.rank, -1), tmax
 
     def mult_coords(self, x, y):
-        """Coordinates of the product of two algebra elements."""
-        prod = self.matrix_of(x) * self.matrix_of(y)
-        coords = self.coords_of(prod)
-        if coords is None:
-            raise ValueError("algebra not closed under multiplication")
-        return coords
+        """Coordinates of x * y: the sum of x_i y_j mult_table[i][j]."""
+        table, tmax = self._table_array
+        d = self.rank
+        # every partial sum is bounded by d^2 * max|x| * max|y| * max|table|
+        bound = (d * d * tmax * max(map(abs, x), default=0)
+                 * max(map(abs, y), default=0))
+        dtype = np.int64 if bound < 2**63 else object
+        xv = np.array([int(c) for c in x], dtype=dtype)
+        yv = np.array([int(c) for c in y], dtype=dtype)
+        xt = (xv @ table.astype(dtype, copy=False)).reshape(d, d)
+        return (yv @ xt).tolist()
 
-    def contains(self, mat):
-        return self.coords_of(mat, verify=True) is not None
+
+@dataclass
+class HeckeAlgebra(_BasisRing):
+    """The Hecke algebra T of a level, as a lattice of operators on S."""
+
+    level: int
+    space: object
+    gens: dict
+    basis_mats: tuple
+    rank: int
+    _solver: object = field(repr=False, default=None)
+
+    # bound on the class itself: perfbench/tracer.py instruments these
+    # through HeckeAlgebra.__dict__
+    coords_of = _BasisRing.coords_of
+    matrix_of = _BasisRing.matrix_of
+    mult_coords = _BasisRing.mult_coords
+
+    @property
+    def dim_s(self):
+        return self.space.cuspidal_rank
 
 
 _FOLD_CAP = 200  # max pending products before folding into the HNF basis
@@ -732,15 +779,7 @@ def _combine_rows(combos, mats, vec_rows, r):
             IntMatrix(r, r, [list(row[i * r:(i + 1) * r]) for i in range(r)])
             for row in prod.tolist()
         ]
-    out = []
-    for combo in combos:
-        acc = None
-        for c, m in zip(combo, mats):
-            if c:
-                term = m.scale(c)
-                acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else IntMatrix.zeros(r, r))
-    return out
+    return [_combination(combo, mats, r) for combo in combos]
 
 
 def _verify_closure(algebra):
@@ -763,8 +802,7 @@ def _verify_closure(algebra):
         prod = algebra.basis_mats[i] * algebra.basis_mats[j]
         if algebra.coords_of(prod, verify=True) is None:
             raise ValueError("Hecke algebra closure verification failed")
-    if algebra.coords_of(IntMatrix.identity(algebra.dim_s), verify=True) is None:
-        raise ValueError("identity not contained in the Hecke algebra")
+    algebra.unit_coords()  # raises when the identity is missing
 
 
 # ---------------------------------------------------------------------------
@@ -1058,54 +1096,28 @@ def decompose_new(space, algebra):
 
 
 @dataclass
-class OrderOf:
+class OrderOf(_BasisRing):
     """The order O_f: image of T acting on the isotypic lattice S_f."""
 
     rank: int
     basis_mats: tuple  # matrices on S_f coordinates
-    mult_table: tuple  # mult_table[i][j] = coordinates of b_i * b_j
-    unit: tuple  # coordinates of the identity
     _solver: object = field(repr=False, default=None)
 
     @property
     def dim_s(self):
         return self.basis_mats[0].rows if self.basis_mats else 0
 
-    def coords_of(self, mat, verify=False):
-        row = [x for r in mat.data for x in r]
-        coords = self._solver.solve(row)
-        if coords is None:
-            return None
-        if verify:
-            if self.matrix_of(coords) != mat:
-                return None
-        return coords
-
-    def matrix_of(self, coords):
-        acc = None
-        for c, b in zip(coords, self.basis_mats):
-            if c:
-                term = b.scale(c)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            acc = IntMatrix.zeros(self.dim_s, self.dim_s)
-        return acc
-
-    def mult_coords(self, x, y):
-        coords = self.coords_of(self.matrix_of(x) * self.matrix_of(y))
-        if coords is None:
-            raise ValueError("order not closed under multiplication")
-        return coords
-
     def discriminant(self):
         """det of the trace form on the basis (nonzero for an order)."""
         d = self.rank
+        basis_traces = [sum(b.data[k][k] for k in range(b.rows))
+                        for b in self.basis_mats]
         traces = [[0] * d for _ in range(d)]
         for i in range(d):
             for j in range(i, d):
-                prod = self.matrix_of(self.mult_coords(_unit_vec(d, i), _unit_vec(d, j)))
                 # trace of multiplication on S_f is 2 * trace on O_f
-                tr = sum(prod.data[k][k] for k in range(prod.rows))
+                tr = sum(c * t for c, t in
+                         zip(self.mult_table[i][j], basis_traces))
                 if tr % 2:
                     raise ValueError("odd trace on a doubled module")
                 traces[i][j] = traces[j][i] = tr // 2
@@ -1119,10 +1131,8 @@ def _unit_vec(d, i):
 
 
 def order_of(algebra, cls):
-    """Build O_f = T / T[e_f] with its multiplication table."""
-    restricted = []
-    for b in algebra.basis_mats:
-        restricted.append(restrict_operator(cls.lattice, b))
+    """Build O_f = T / T[e_f] as matrices on S_f."""
+    restricted = [restrict_operator(cls.lattice, b) for b in algebra.basis_mats]
     rows = [[x for r in m.data for x in r] for m in restricted]
     arr = np.array(
         [[x % _PIVOT_PRIME for x in row] for row in rows], dtype=np.int64
@@ -1139,29 +1149,13 @@ def order_of(algebra, cls):
     _h, r_exact, u_rows = _hnf_rows(proj, transform=True, ncols=len(pivots))
     if r_exact != rank:
         raise ValueError("exact image rank disagrees with the mod-p rank")
-    basis_mats = []
-    for combo in u_rows[:rank]:
-        acc = None
-        for c, m in zip(combo, restricted):
-            if c:
-                term = m.scale(c)
-                acc = term if acc is None else acc + term
-        basis_mats.append(acc)
-    order = OrderOf(rank, tuple(basis_mats), None, None)
+    basis_mats = _combine_rows(u_rows[:rank], restricted, rows,
+                               cls.lattice.rank)
+    order = OrderOf(rank, tuple(basis_mats))
     order._solver = _PivotSolver(
         [[x for r in m.data for x in r] for m in basis_mats], pivots
     )
-    unit = order.coords_of(IntMatrix.identity(basis_mats[0].rows), verify=True)
-    if unit is None:
-        raise ValueError("identity missing from the order")
-    table = []
-    for i in range(rank):
-        row = []
-        for j in range(rank):
-            row.append(tuple(order.mult_coords(_unit_vec(rank, i), _unit_vec(rank, j))))
-        table.append(tuple(row))
-    order.mult_table = tuple(table)
-    order.unit = tuple(unit)
+    order.unit_coords()  # raises when the identity is missing
     return order
 
 
@@ -1170,92 +1164,25 @@ def order_of(algebra, cls):
 
 
 class _ModPAlgebra:
-    """A commutative ring (T or O_f) reduced modulo p, via numpy matrices."""
+    """A commutative ring (T or O_f) reduced modulo p, via its structure
+    constants (which present ring/p faithfully even where the matrix
+    embedding degenerates mod p)."""
 
     def __init__(self, ring, p):
         self.p = p
-        self.ring = ring
         self.d = ring.rank
-        mats = [np.array(m.data, dtype=object) for m in ring.basis_mats]
-        self.mats = [np.mod(m, p).astype(np.int64) for m in mats]
-        self.n = self.mats[0].shape[0] if self.mats else 0
-        rows = np.stack([m.reshape(-1) for m in self.mats]) if self.mats else None
-        self.rows = rows
-        # row-reduce to get a solver: R = T @ rows in rref
-        a = rows % p
-        t = np.eye(self.d, dtype=np.int64)
-        pivots = []
-        r = 0
-        for c in range(a.shape[1]):
-            if r == self.d:
-                break
-            nz = np.nonzero(a[r:, c])[0]
-            if len(nz) == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                a[[r, i]] = a[[i, r]]
-                t[[r, i]] = t[[i, r]]
-            inv = pow(int(a[r, c]), p - 2, p)
-            a[r] = (a[r] * inv) % p
-            t[r] = (t[r] * inv) % p
-            mask = np.nonzero(a[:, c])[0]
-            mask = mask[mask != r]
-            if len(mask):
-                t[mask] = (t[mask] - np.outer(a[mask, c], t[r])) % p
-                a[mask] = (a[mask] - np.outer(a[mask, c], a[r])) % p
-            pivots.append(c)
-            r += 1
-        if r == self.d:
-            self.table = None
-            self.rref = a
-            self.rref_t = t
-            self.pivots = pivots
-            self.unit = self.coords_of_matrix(np.eye(self.n, dtype=np.int64))
-        else:
-            # the matrix embedding degenerates mod p (the ring is not
-            # saturated in End(S)); fall back to structure constants,
-            # which always present ring/p faithfully
-            if getattr(ring, "mult_table", None) is not None:
-                table = ring.mult_table
-            else:
-                units = [_unit_vec(self.d, i) for i in range(self.d)]
-                table = [
-                    [ring.mult_coords(units[i], units[j]) for j in range(self.d)]
-                    for i in range(self.d)
-                ]
-            self.table = [
-                np.array([[c % p for c in cell] for cell in row], dtype=np.int64)
-                for row in table
-            ]
-            unit = getattr(ring, "unit", None)
-            if unit is None:
-                unit = ring.unit_coords()
-            self.unit = tuple(int(c) % p for c in unit)
-
-    def coords_of_matrix(self, mat):
-        w = np.mod(mat.reshape(-1), self.p)
-        wpiv = w[self.pivots]
-        coords = (wpiv @ self.rref_t) % self.p
-        return tuple(int(x) for x in coords)
-
-    def matrix_of(self, coords):
-        acc = np.zeros((self.n, self.n), dtype=np.int64)
-        for c, m in zip(coords, self.mats):
-            if c:
-                acc = (acc + c * m) % self.p
-        return acc
+        table, _tmax = ring._table_array
+        # residues below p keep every contraction sum below d * p^2
+        dtype = np.int64 if self.d * p * p < 2**63 else object
+        self.table = np.mod(table, p).astype(dtype)
+        self.unit = tuple(c % p for c in ring.unit_coords())
 
     def mul(self, x, y):
-        if self.table is not None:
-            acc = np.zeros(self.d, dtype=np.int64)
-            yv = np.array([int(c) % self.p for c in y], dtype=np.int64)
-            for i, xi in enumerate(x):
-                if xi:
-                    acc = (acc + xi * ((yv @ self.table[i]) % self.p)) % self.p
-            return tuple(int(c) for c in acc)
-        prod = (self.matrix_of(x) @ self.matrix_of(y)) % self.p
-        return self.coords_of_matrix(prod)
+        p, d, dtype = self.p, self.d, self.table.dtype
+        xv = np.array([int(c) % p for c in x], dtype=dtype)
+        yv = np.array([int(c) % p for c in y], dtype=dtype)
+        xt = (xv @ self.table % p).reshape(d, d)
+        return tuple((yv @ xt % p).tolist())
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))

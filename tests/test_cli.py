@@ -111,3 +111,43 @@ def test_cache_warm_run_is_bit_identical(runner, tmp_path, monkeypatch):
     assert first.exit_code == EXIT_OK
     second = runner.invoke(main, ["invariants", "26", "--json"])
     assert second.output == first.output
+
+
+def test_decompose_warm_cache_computes_no_operator(tmp_path, monkeypatch):
+    from maninforge import invariants as inv
+    from maninforge.modsym import ModSymSpace, build_space
+
+    args = ["--cache-dir", str(tmp_path / "c3"), "decompose", "66", "--json"]
+    build_space.cache_clear()
+    inv.level_data.cache_clear()
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == EXIT_OK
+    build_space.cache_clear()
+    inv.level_data.cache_clear()
+    calls = []
+    compute = ModSymSpace.operator_from_images
+
+    def counted(space, image_fn):
+        calls.append(space.n)
+        return compute(space, image_fn)
+
+    monkeypatch.setattr(ModSymSpace, "operator_from_images", counted)
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == EXIT_OK
+    assert calls == []
+    assert warm.stdout_bytes == cold.stdout_bytes
+
+
+def test_parallel_scan_fills_the_cache(tmp_path):
+    from maninforge.modsym import build_space, is_squarefree
+
+    root = str(tmp_path / "c4")
+    res = CliRunner().invoke(
+        main, ["--cache-dir", root, "scan", "11", "30", "--threads", "2"])
+    assert res.exit_code == EXIT_OK
+    assert "no anomalies" in res.output
+    scanned = [n for n in range(11, 31)
+               if is_squarefree(n) and build_space(n).cuspidal_rank]
+    assert scanned
+    for n in scanned:
+        assert _read_artifact(root, n, "op_index") is not None, n

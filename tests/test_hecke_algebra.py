@@ -228,3 +228,31 @@ def test_big_algebra_build_matches_default():
         big = _build_algebra_big(space)
         assert big.rank == small.rank
         assert list(big.basis_mats) == list(small.basis_mats)
+
+
+@pytest.mark.parametrize("n", [46, 57])
+def test_structure_constants_match_matrix_products(n):
+    import random
+
+    from maninforge.hecke_algebra import _fp_rank, _ModPAlgebra
+
+    sp = build_space(n)
+    alg = build_hecke_algebra(sp)
+    # at 46, T is not saturated in End(S) and its matrix embedding
+    # degenerates mod 2; at 57 it is saturated
+    rows = [[x for r in m.data for x in r] for m in alg.basis_mats]
+    assert (saturation_index(alg) > 1) == (n == 46)
+    assert (_fp_rank(rows, 2) < alg.rank) == (n == 46)
+    rings = [alg] + [order_of(alg, cls) for cls in decompose_new(sp, alg)]
+    rng = random.Random(n)
+    for ring in rings:
+        mod_p = {p: _ModPAlgebra(ring, p) for p in (2, 3, 5)}
+        for _ in range(20):
+            x = [rng.randint(-40, 40) for _ in range(ring.rank)]
+            y = [rng.randint(-40, 40) for _ in range(ring.rank)]
+            want = ring.coords_of(ring.matrix_of(x) * ring.matrix_of(y),
+                                  verify=True)
+            assert want is not None
+            assert ring.mult_coords(x, y) == want
+            for p, alg_p in mod_p.items():
+                assert alg_p.mul(x, y) == tuple(c % p for c in want)
