@@ -654,40 +654,6 @@ def _det_multimodular(data):
     return residue
 
 
-def product_is_zero(a_rows, b_rows):
-    """Exact check that A @ B == 0 for integer row-lists.
-
-    Each product entry is bounded by k * amax * bmax, so checking the
-    congruence modulo primes whose product exceeds twice that bound pins
-    every entry to zero.
-    """
-    if not a_rows or not b_rows or not b_rows[0]:
-        return True
-    k = len(b_rows)
-    amax = max((abs(x) for r in a_rows for x in r), default=0)
-    bmax = max((abs(x) for r in b_rows for x in r), default=0)
-    if amax == 0 or bmax == 0:
-        return True
-    bound = 2 * k * amax * bmax
-    if bound < 2**62:
-        a = np.array(a_rows, dtype=np.int64)
-        b = np.array(b_rows, dtype=np.int64)
-        return not np.any(a @ b)
-    a_arr = np.array(a_rows, dtype=np.int64) if amax < 2**62 else None
-    b_arr = np.array(b_rows, dtype=np.int64) if bmax < 2**62 else None
-    modulus = 1
-    for p in _primes_desc(1 << 20):
-        ap = (np.mod(a_arr, p) if a_arr is not None else
-              np.array([[x % p for x in r] for r in a_rows], dtype=np.int64))
-        bp = (np.mod(b_arr, p) if b_arr is not None else
-              np.array([[x % p for x in r] for r in b_rows], dtype=np.int64))
-        if np.any((ap @ bp) % p):
-            return False
-        modulus *= p
-        if modulus > bound:
-            return True
-
-
 def det(m):
     """Exact determinant; multimodular CRT above dimension 64."""
     if m.rows != m.cols:
@@ -840,28 +806,6 @@ def rational_coordinates_of(lattice, vectors):
     return out
 
 
-def kernel_saturated(m, method=None):
-    """Saturated integer kernel {v in Z^cols : M * v = 0} as a lattice.
-
-    method: None (auto), "direct" (augmented HNF) or "modular" (mod-p kernel
-    reconstruction with exact certificates).  Both are exact; the modular
-    route avoids the coefficient explosion of the naive HNF at large
-    dimension.
-    """
-    if method is None:
-        # the direct route runs an augmented HNF over rows + cols columns,
-        # so either dimension being large triggers coefficient explosion
-        method = "modular" if max(m.rows, m.cols) >= 120 else "direct"
-    if method == "modular":
-        return _kernel_saturated_modular(m)
-    mt = m.transpose()
-    aug = [list(row) + [1 if i == j else 0 for j in range(m.cols)]
-           for i, row in enumerate(mt.data)]
-    H, _r, _ = _hnf_rows(aug, ncols=m.rows + m.cols)
-    kernel_rows = [row[m.rows:] for row in H if not any(row[:m.rows])]
-    return IntLattice(m.cols, kernel_rows)
-
-
 def hnf_with_modulus(rows, ncols, d):
     """HNF basis of L = span(rows) + d*Z^ncols, entries kept below d.
 
@@ -974,41 +918,37 @@ def _rref_mod_p(a, p, pivot_order=None):
 _RECON_BIT_CAP = 2_000_000
 
 
-def _kernel_rational_basis(m):
-    """Certified basis of ker_Q(M) as primitive integer vectors.
+def _modular_kernel(n, matrix_mod, accept):
+    """Kernel of an n-column integer matrix seen only modulo primes.
 
-    Returns (w_rows, pivots, free_cols): one row per free column f, with
-    w_f[f] > 0, w_f zero at the other free columns, and M * w_f == 0
-    verified exactly.  The mod-p rank certificate plus the count of
-    exhibited independent kernel vectors pins ker_Q down exactly, so the
-    result does not rely on any modular heuristic.
+    matrix_mod(primes) yields the matrix modulo each of the primes, as
+    arrays of residues.  The pivot set is fixed at the first prime, and a
+    later prime that misses it is skipped; the residues of the reduced
+    kernel basis are combined by CRT, and each time the prime batch is
+    complete the rows are rationally reconstructed (one row per free column
+    f, with w_f[f] > 0 and zeros at the other free columns) and handed to
+    accept(w_rows, free).  accept certifies them exactly and returns the
+    result, or None to ask for more primes; batches double up to a bit cap,
+    after which the pivot set is drawn afresh.  The mod-p rank never
+    exceeds the rational rank, so a certified row per free column spans
+    the whole rational kernel, and a pivot set that undercounts the rank
+    never certifies.
     """
-    n = m.cols
-    rows = m.data
     prime_iter = _primes_desc(1 << 20)
     for _restart in range(5):
         pivots = None
         residues = None
         modulus = 1
-        batch = 4
-        free = []
+        batch = 2
         while modulus.bit_length() <= _RECON_BIT_CAP:
             got = 0
             while got < batch:
                 ps = [next(prime_iter) for _ in range(batch - got)]
-                prod_p = 1
-                for p in ps:
-                    prod_p *= p
-                # one big reduction mod the batch product, then cheap
-                # per-prime mods of the small residues
-                red_rows = [[x % prod_p for x in row] for row in rows]
-                for p in ps:
-                    a = [[x % p for x in row] for row in red_rows]
+                for p, a in zip(ps, matrix_mod(ps)):
                     if pivots is None:
-                        red, piv = _rref_mod_p(a, p)
-                        pivots = piv
-                        free = [j for j in range(n)
-                                if j not in set(piv)]
+                        red, pivots = _rref_mod_p(a, p)
+                        pivot_set = set(pivots)
+                        free = [j for j in range(n) if j not in pivot_set]
                     else:
                         red, piv = _rref_mod_p(a, p, pivot_order=pivots)
                         if piv != pivots:
@@ -1026,21 +966,15 @@ def _kernel_rational_basis(m):
                                     (si[j] - ri[j]) * inv % p)
                         modulus *= p
                     got += 1
-            if not free:
-                return [], pivots, []
             w_rows = _reconstruct_kernel_rows(residues, modulus, pivots,
                                               free, n)
-            if w_rows is not None and all(
-                    _in_kernel_exact(rows, w) for w in w_rows):
-                _logger.debug(
-                    "kernel basis: reconstructed %d rows at %d bits, "
-                    "max entry %d bits", len(w_rows), modulus.bit_length(),
-                    max(abs(x).bit_length() for w in w_rows for x in w))
-                return w_rows, pivots, free
-            _logger.debug("kernel basis: reconstruction at %d bits failed, "
-                          "extending", modulus.bit_length())
+            if w_rows is not None:
+                result = accept(w_rows, free)
+                if result is not None:
+                    return result
+            _logger.debug("modular kernel: no certified candidate at %d "
+                          "bits, extending", modulus.bit_length())
             batch = min(2 * batch, 64)
-        # a wrong (rank-deficient) pivot set never certifies: retry afresh
     raise ArithmeticError("modular kernel reconstruction did not converge")
 
 
@@ -1077,17 +1011,36 @@ def _in_kernel_exact(rows, w):
     return True
 
 
-def _kernel_saturated_modular(m):
-    """Exact saturated kernel via modular reconstruction plus certificates."""
+def kernel_saturated(m):
+    """Saturated integer kernel {v in Z^cols : M * v = 0} as a lattice.
+
+    The rational kernel is reconstructed from kernels modulo word-sized
+    primes (see _modular_kernel); every reconstructed vector is checked to
+    be in the kernel exactly before the span is saturated, so the result
+    is exact and no intermediate blows up with the dimension.
+    """
     n = m.cols
     if n == 0:
         return IntLattice.zero(0)
     if m.rows == 0 or m.is_zero():
         return IntLattice.standard(n)
-    w_rows, pivots, free = _kernel_rational_basis(m)
-    if not free:
-        return IntLattice.zero(n)
-    return _saturate_kernel_rows(w_rows, free, n)
+    rows = m.data
+
+    def matrix_mod(ps):
+        # one big reduction mod the batch product, then cheap per-prime
+        # mods of the small residues
+        prod_p = 1
+        for p in ps:
+            prod_p *= p
+        red_rows = [[x % prod_p for x in row] for row in rows]
+        return ([[x % p for x in row] for row in red_rows] for p in ps)
+
+    def accept(w_rows, free):
+        if all(_in_kernel_exact(rows, w) for w in w_rows):
+            return _saturate_kernel_rows(w_rows, free, n)
+        return None
+
+    return _modular_kernel(n, matrix_mod, accept)
 
 
 def _saturate_kernel_rows(w_rows, free, n):

@@ -18,6 +18,7 @@ reduce to a small triangular system, verified against the full matrices.
 """
 
 import logging
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +32,6 @@ from .exact_linalg import (
     IntLattice,
     IntMatrix,
     RatMatrix,
-    kernel_saturated,
     lattice_intersect,
     quotient_invariants,
     restrict_operator,
@@ -863,29 +863,40 @@ def _exact_quotient(f, g):
     return num
 
 
-def _row_kernel(mat):
-    """Saturated {v : v * mat = 0} for a square IntMatrix."""
-    return kernel_saturated(mat.transpose())
-
-
-_BIG_POLY_KERNEL = 120
-
-
-def poly_kernel_saturated(t, g, method=None):
+def poly_kernel_saturated(t, g):
     """Saturated lattice {v : v * g(t) == 0} for an integer matrix t.
 
-    The direct path forms g(t) and takes its saturated row kernel.  The
-    modular path never forms g(t) (whose entries blow up with deg g): it
-    evaluates g(t) modulo word-sized primes, reconstructs the rational
-    kernel, saturates, and certifies the candidate exactly by restricting
-    t to it and checking that g of the restriction vanishes — this proves
-    containment in the kernel, and the mod-p corank pins the rank.
+    g(t), whose entries blow up with deg g, is never formed: its kernel is
+    reconstructed from g(t) modulo word-sized primes (see
+    exact_linalg._modular_kernel) and saturated, and the candidate is
+    certified exactly by restricting t to it and checking that g of the
+    restriction vanishes — this proves containment in the kernel, and the
+    mod-p corank pins the rank.
     """
-    if method is None:
-        method = "modular" if t.rows >= _BIG_POLY_KERNEL else "direct"
-    if method == "direct":
-        return kernel_saturated(g.evaluate_matrix(t).transpose())
-    return _poly_kernel_modular(t, g)
+    from .exact_linalg import _modular_kernel, _saturate_kernel_rows
+
+    n = t.rows
+    cs = g.coeffs
+    tmax = max((abs(x) for row in t.data for x in row), default=0)
+    t64 = np.array(t.data, dtype=np.int64) if tmax < 2**62 else None
+
+    def matrix_mod(ps):
+        for p in ps:
+            tp = (np.mod(t64, p) if t64 is not None else
+                  np.array([[x % p for x in row] for row in t.data],
+                           dtype=np.int64))
+            yield np.ascontiguousarray(_poly_mod_horner(tp, cs, p).T)
+
+    def accept(w_rows, free):
+        try:
+            lat = _saturate_kernel_rows(w_rows, free, n)
+        except ArithmeticError:
+            return None
+        if lat.rank == len(free) and _certify_poly_kernel(t, g, lat):
+            return lat
+        return None
+
+    return _modular_kernel(n, matrix_mod, accept)
 
 
 def _poly_mod_horner(mat_p, cs, p):
@@ -900,74 +911,6 @@ def _poly_mod_horner(mat_p, cs, p):
         if cp:
             acc[diag, diag] = (acc[diag, diag] + cp) % p
     return acc
-
-
-def _poly_kernel_modular(t, g):
-    from .exact_linalg import (
-        _RECON_BIT_CAP,
-        _primes_desc,
-        _reconstruct_kernel_rows,
-        _rref_mod_p,
-        _saturate_kernel_rows,
-        gcdex,
-    )
-
-    n = t.rows
-    cs = g.coeffs
-    tmax = max((abs(x) for row in t.data for x in row), default=0)
-    t64 = np.array(t.data, dtype=np.int64) if tmax < 2**62 else None
-
-    def g_of_t_mod(p):
-        tp = (np.mod(t64, p) if t64 is not None else
-              np.array([[x % p for x in row] for row in t.data],
-                       dtype=np.int64))
-        return _poly_mod_horner(tp, cs, p)
-
-    prime_iter = _primes_desc(1 << 20)
-    for _restart in range(5):
-        pivots = None
-        residues = None
-        modulus = 1
-        batch = 2
-        free = []
-        while modulus.bit_length() <= _RECON_BIT_CAP:
-            got = 0
-            while got < batch:
-                p = next(prime_iter)
-                a = np.ascontiguousarray(g_of_t_mod(p).T)
-                if pivots is None:
-                    red, piv = _rref_mod_p(a, p)
-                    pivots = piv
-                    free = [j for j in range(n) if j not in set(piv)]
-                else:
-                    red, piv = _rref_mod_p(a, p, pivot_order=pivots)
-                    if piv != pivots:
-                        continue  # unlucky prime for this pivot set
-                sol = red[:len(pivots)][:, free].tolist() if free else []
-                if residues is None:
-                    residues = sol
-                    modulus = p
-                else:
-                    _g_, inv, _ = gcdex(modulus % p, p)
-                    for ri, si in zip(residues, sol):
-                        for j in range(len(ri)):
-                            ri[j] += modulus * ((si[j] - ri[j]) * inv % p)
-                    modulus *= p
-                got += 1
-            if not free:
-                return IntLattice.zero(n)
-            w_rows = _reconstruct_kernel_rows(residues, modulus, pivots,
-                                              free, n)
-            if w_rows is not None:
-                try:
-                    lat = _saturate_kernel_rows(w_rows, free, n)
-                except ArithmeticError:
-                    lat = None
-                if (lat is not None and lat.rank == len(free)
-                        and _certify_poly_kernel(t, g, lat)):
-                    return lat
-            batch = min(2 * batch, 64)
-    raise ArithmeticError("modular polynomial kernel did not converge")
 
 
 def _certify_poly_kernel(t, g, lat):
@@ -1009,25 +952,31 @@ def _certify_poly_kernel(t, g, lat):
 
 
 def _candidate_separators(space, algebra):
-    """Deterministic sequence of candidate separating operators."""
+    """Deterministic sequence of candidate separating operators.
+
+    Single T_ell and pairs T_ell0 + c*T_ell over the first eight good
+    primes come first; they separate at most levels.  When a newform
+    shares its eigenvalues at those primes with an oldform, only a later
+    prime tells them apart, so pseudo-random integer combinations of every
+    good T_ell up to the search bound follow (fixed seed, so the sequence
+    is the same on every run).
+    """
     n = space.n
     good = [ell for ell in primes_upto(max(60, sturm_bound(n) + 1)) if n % ell]
     mats = {ell: hecke(space, ell).matrix for ell in good[:8]}
-    count = 0
     for ell in good[:8]:
         yield f"T_{ell}", mats[ell]
-        count += 1
-        if count >= 1000:
-            return
-    # integer combinations of the first few generators, fixed spiral
-    for radius in range(1, 30):
-        for i in range(1, len(good[:8])):
-            for c in range(1, radius + 1):
-                name = f"T_{good[0]}+{c}*T_{good[i]}"
-                yield name, mats[good[0]] + mats[good[i]].scale(c)
-                count += 1
-                if count >= 1000:
-                    return
+    for c in range(1, 30):
+        for ell in good[1:8]:
+            yield (f"T_{good[0]}+{c}*T_{ell}",
+                   mats[good[0]] + mats[ell].scale(c))
+    mats.update((ell, hecke(space, ell).matrix) for ell in good[8:])
+    rng = random.Random(0)
+    for _ in range(20):
+        coeffs = [rng.randint(1, 9) for _ in good]
+        yield ("+".join(f"{c}*T_{ell}" for c, ell in zip(coeffs, good)),
+               _combination(coeffs, [mats[ell] for ell in good],
+                            mats[good[0]].rows))
 
 
 def decompose_new(space, algebra):

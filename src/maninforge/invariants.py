@@ -30,7 +30,6 @@ from .hecke_algebra import (
     _ModPAlgebra,
     _exact_quotient,
     _fp_rank,
-    _pivot_columns,
     _unit_vec,
     build_hecke_algebra,
     decompose_new,
@@ -133,65 +132,30 @@ def level_data(n):
     return LevelData(n)
 
 
-_BIG_ANNIHILATOR = 120
-
-
-def _annihilator_of(algebra, sublattice, method=None):
+def _annihilator_of(algebra, sublattice):
     """{t in T : t acts as zero on the sublattice}, in T-coordinates.
 
     T[e_f] is the annihilator of the isotypic piece, so both idempotent
     kernels of T are instances of this computation.
-    """
-    d = algebra.rank
-    if sublattice.rank == 0:
-        return IntLattice.standard(d)
-    if method is None:
-        method = "modular" if d >= _BIG_ANNIHILATOR else "direct"
-    if method == "modular":
-        return _annihilator_modular(algebra, sublattice)
-    rows = []
-    for b in algebra.basis_mats:
-        restr = restrict_operator(sublattice, b)
-        rows.append([x for r in restr.data for x in r])
-    # kernel {x : x . R = 0}; restrict to a set of independent columns of R
-    # (the kernel is saturated of the right rank either way, so the
-    # projection is exact), then verify on the full matrix
-    import numpy as np
 
-    arr = np.array(rows, dtype=object)
-    max_abs = max((abs(int(x)) for row in rows for x in row), default=0)
-    if max_abs < 2**60:
-        pivots, _rank = _pivot_columns(arr.astype(np.int64))
-    else:
-        pivots = _exact_pivot_columns(rows)
-    proj = IntMatrix.from_rows([[row[j] for j in pivots] for row in rows], len(pivots))
-    kern = kernel_saturated(proj.transpose())
-    # tripwire: every kernel vector must annihilate the full matrix
-    for v in kern.basis.data:
-        for j in range(len(rows[0])):
-            if sum(v[i] * rows[i][j] for i in range(d)):
-                raise ValueError("projected annihilator kernel is not exact")
-    return kern
-
-
-def _annihilator_modular(algebra, sublattice):
-    """Annihilator via the stacked action matrix, never formed exactly.
-
-    x annihilates the sublattice iff sum_m x_m (L b_m) == 0, with L the
-    lattice basis: the condition in lattice coordinates differs by the
-    injective map "express in the basis", so the kernels agree.  Row m of
-    the action matrix R is L b_m flattened.  A pivot-column set is chosen
-    modulo one prime; the exact values of R on those columns come from a
-    CRT whose modulus exceeds twice the a-priori entry bound n*lmax*bmax,
-    so they are exact.  The saturated kernel of that exact projection
-    contains the annihilator; the final bound-aware multimodular check
-    that it kills all of R proves the reverse inclusion.
+    The stacked action matrix is never formed exactly: x annihilates the
+    sublattice iff sum_m x_m (L b_m) == 0, with L the lattice basis: the
+    condition in lattice coordinates differs by the injective map "express
+    in the basis", so the kernels agree.  Row m of the action matrix R is
+    L b_m flattened.  A pivot-column set is chosen modulo one prime; the
+    exact values of R on those columns come from a CRT whose modulus
+    exceeds twice the a-priori entry bound n*lmax*bmax, so they are exact.
+    The saturated kernel of that exact projection contains the
+    annihilator; the final bound-aware multimodular check that it kills
+    all of R proves the reverse inclusion.
     """
     import numpy as np
 
     from .exact_linalg import _ModReducer, _primes_desc, _rref_mod_p, gcdex
 
     d = algebra.rank
+    if sublattice.rank == 0:
+        return IntLattice.standard(d)
     lb = sublattice.basis
     k, n = lb.rows, lb.cols
     lmax = max(abs(x) for row in lb.data for x in row)
@@ -207,14 +171,8 @@ def _annihilator_modular(algebra, sublattice):
         (d, n, n))
     _logger.debug("annihilator: residue tables ready")
 
-    def _l_mod(p):
-        return l_red.mod(p)
-
-    def _b_mod(p):
-        return b_red.mod(p)
-
     def rows_mod(p):
-        lp, bp = _l_mod(p), _b_mod(p)
+        lp, bp = l_red.mod(p), b_red.mod(p)
         return (np.matmul(lp, bp) % p).reshape(d, k * n)
 
     prime_iter = _primes_desc(1 << 20)
@@ -229,7 +187,7 @@ def _annihilator_modular(algebra, sublattice):
         nn_list = [j % n for j in pivots]
 
         def proj_mod(p):
-            lp, bp = _l_mod(p), _b_mod(p)
+            lp, bp = l_red.mod(p), b_red.mod(p)
             lsel = lp[kk_list]
             sel = bp[:, :, nn_list]
             return np.einsum("ij,mji->mi", lsel, sel) % p
@@ -290,33 +248,6 @@ def _annihilator_modular(algebra, sublattice):
             _logger.debug("annihilator: verified")
             return kern
     raise ValueError("projected annihilator kernel is not exact")
-
-
-def _exact_pivot_columns(rows):
-    """Pivot columns by exact fraction-free elimination (fallback path)."""
-    from fractions import Fraction
-
-    work = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        sel = next((i for i in range(r, nrows) if work[i][c]), None)
-        if sel is None:
-            continue
-        work[r], work[sel] = work[sel], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,8 @@ def test_empty_level_has_no_classes():
     assert decompose_new(sp, alg) == []
 
 
-def test_poly_kernel_saturated_paths_agree():
+def test_poly_kernel_saturated_characterized():
+    from maninforge.exact_linalg import hnf_basis, snf
     from maninforge.hecke_algebra import _exact_quotient, poly_kernel_saturated
 
     space = build_space(89)
@@ -206,17 +207,12 @@ def test_poly_kernel_saturated_paths_agree():
                   _exact_quotient(cls.radical_full, cls.g_poly)]:
             if g.degree == 0:
                 continue
-            direct = poly_kernel_saturated(cls.separator, g, method="direct")
-            modular = poly_kernel_saturated(cls.separator, g,
-                                            method="modular")
-            assert direct == modular
-            assert direct == saturate_copy(direct)
-
-
-def saturate_copy(lat):
-    from maninforge.exact_linalg import saturate
-
-    return saturate(lat)
+            k = poly_kernel_saturated(cls.separator, g)
+            g_t = g.evaluate_matrix(cls.separator)
+            assert (k.basis * g_t).is_zero()
+            assert k.rank == g_t.rows - len(
+                hnf_basis([list(r) for r in g_t.data], g_t.cols))
+            assert snf(k.basis) == (1,) * k.rank
 
 
 def test_big_algebra_build_matches_default():

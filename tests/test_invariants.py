@@ -105,6 +105,18 @@ def test_manin_certify_small_levels():
         assert all(c.overall for c in certs)
 
 
+def test_level_210_separates_newforms_from_oldforms():
+    # a newform at 210 shares its eigenvalues at 11..37 with an oldform, so
+    # no operator built from those primes alone separates it
+    data = level_data(210)
+    assert [cls.dimension for cls in data.classes] == [1] * 5
+    certs = manin_certify(210)
+    assert len(certs) == 5
+    assert all(c.overall for c in certs)
+    for rep in deg_cong_report(210, analyze_ideals=False):
+        assert rep.deg == rep.cong
+
+
 def test_anomaly_scan_empty_at_small_levels():
     for n in [11, 26, 37, 57, 65]:
         assert anomaly_scan(n) == []
@@ -161,16 +173,23 @@ def test_trivial_class_at_11():
     assert cong_number(data.algebra, cls) == 1
 
 
-def test_annihilator_methods_agree():
+def test_annihilator_characterized():
+    from maninforge.exact_linalg import hnf_basis, snf
     from maninforge.invariants import _annihilator_of
 
     data = level_data(67)
+    algebra = data.algebra
     for cls in data.classes:
         s_ef, s_eperp = data.s_kernels(cls)
         for sub in (s_ef, s_eperp):
-            direct = _annihilator_of(data.algebra, sub, method="direct")
-            modular = _annihilator_of(data.algebra, sub, method="modular")
-            assert direct == modular
+            ann = _annihilator_of(algebra, sub)
+            for x in ann.basis.data:
+                assert (sub.basis * algebra.matrix_of(list(x))).is_zero()
+            action = [[v for row in (sub.basis * b).data for v in row]
+                      for b in algebra.basis_mats]
+            assert ann.rank == algebra.rank - len(
+                hnf_basis(action, len(action[0])))
+            assert snf(ann.basis) == (1,) * ann.rank
 
 
 def test_cong_report_det_path_matches_snf():
