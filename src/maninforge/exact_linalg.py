@@ -14,6 +14,7 @@ import numpy as np
 _logger = logging.getLogger(__name__)
 
 __all__ = [
+    "InvariantViolation",
     "IntMatrix",
     "RatMatrix",
     "IntLattice",
@@ -28,6 +29,14 @@ __all__ = [
     "saturate",
     "det",
 ]
+
+
+class InvariantViolation(AssertionError):
+    """A mathematical tripwire failed: a result that must hold does not.
+
+    Raised explicitly, so it survives ``python -O``; it subclasses
+    AssertionError, which the CLI maps to its invariant-violation exit code.
+    """
 
 
 def gcdex(a, b):

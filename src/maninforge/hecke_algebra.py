@@ -31,6 +31,7 @@ _logger = logging.getLogger(__name__)
 from .exact_linalg import (
     IntLattice,
     IntMatrix,
+    InvariantViolation,
     RatMatrix,
     lattice_intersect,
     quotient_invariants,
@@ -1252,7 +1253,10 @@ def maximal_ideals(ring, p):
                         rest = gj if rest is None else rest * gj
                 # h ≡ 1 mod gi, 0 mod rest
                 g0, u, v = _fp_xgcd(gi, rest)
-                assert g0.degree == 0
+                if g0.degree != 0:
+                    raise InvariantViolation(
+                        f"primary factors of a minimal polynomial mod {p} "
+                        "are not coprime")
                 inv = pow(g0.coeffs[0], p - 2, p)
                 h = v * rest
                 h = FpPoly(p, tuple((c * inv) % p for c in h.coeffs))
@@ -1283,7 +1287,9 @@ def maximal_ideals(ring, p):
                 coef = (v[pos] * pow(bv[pos], p - 2, p)) % p
                 out[i] = coef
                 v = [(a - coef * b) % p for a, b in zip(v, bv)]
-            assert not any(v), "vector outside component"
+            if any(v):
+                raise InvariantViolation(
+                    f"Frobenius image left its component mod {p}")
             return out
 
         fmat = [in_comp_coords(img) for img in frob_images]  # c x c

@@ -19,6 +19,7 @@ _logger = logging.getLogger(__name__)
 from .exact_linalg import (
     IntLattice,
     IntMatrix,
+    InvariantViolation,
     idempotent_kernel_sublattice,
     kernel_saturated,
     lattice_sum,
@@ -268,11 +269,17 @@ class CongModuleReport:
             prod = 1
             for f in self.invariant_factors:
                 prod *= f
-            assert prod == self.total_order
+            if prod != self.total_order:
+                raise InvariantViolation(
+                    f"{self.carrier} module {self.label}: invariant factors "
+                    f"multiply to {prod}, not the order {self.total_order}")
         prod = 1
         for v in self.p_parts.values():
             prod *= v
-        assert prod == self.total_order
+        if prod != self.total_order:
+            raise InvariantViolation(
+                f"{self.carrier} module {self.label}: p-parts multiply to "
+                f"{prod}, not the order {self.total_order}")
 
 
 def _module_report(carrier, label, big, small):
@@ -395,7 +402,9 @@ def _subgroup_order_in_p_part(diag, p, image_rows):
     for t, m in enumerate(moduli):
         rows.append([m if s == t else 0 for s in range(len(idx))])
     H, r, _ = _hnf_rows(rows, ncols=len(idx))
-    assert r == len(idx)
+    if r != len(idx):
+        raise InvariantViolation(
+            f"relations of the {p}-part do not have full rank")
     det = 1
     for i in range(r):
         piv = next(x for x in H[i] if x)
@@ -403,7 +412,9 @@ def _subgroup_order_in_p_part(diag, p, image_rows):
     total = 1
     for m in moduli:
         total *= m
-    assert total % det == 0
+    if total % det:
+        raise InvariantViolation(
+            f"relation index {det} does not divide the {p}-part order {total}")
     return total // det
 
 

@@ -15,9 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
+import numpy as np
+
 from .exact_linalg import (
     IntMatrix,
     IntLattice,
+    InvariantViolation,
     coordinates_of,
     complement_projection,
     gcdex,
@@ -40,6 +43,10 @@ __all__ = [
     "star_involution",
     "is_squarefree",
 ]
+
+
+# entries of the (symbols x matrices) temporaries of one operator_from_images step
+_CHUNK_ENTRIES = 1 << 16
 
 
 def is_squarefree(n):
@@ -94,7 +101,16 @@ class P1:
                             points.append(p)
             points.sort()
             self.points = points
-        self._index = {p: i for i, p in enumerate(self.points)}
+        # table[c, d] is the index of (c : d), or -1 off P^1: every point
+        # of P^1(Z/nZ) is a unit multiple of exactly one representative
+        pts = np.array(self.points, dtype=np.int64)
+        units = np.array([u for u in range(n) if gcd(u, n) == 1], dtype=np.int64)
+        cs = np.multiply.outer(pts[:, 0], units)
+        cs %= n
+        ds = np.multiply.outer(pts[:, 1], units)
+        ds %= n
+        self.table = np.full((n, n), -1, dtype=np.int32)
+        self.table[cs, ds] = np.arange(len(pts), dtype=np.int32)[:, None]
 
     def __len__(self):
         return len(self.points)
@@ -119,10 +135,8 @@ class P1:
 
     def index_of(self, c, d):
         """Index of (c : d), or None if gcd(c, d, n) > 1."""
-        p = self.normalize(c, d)
-        if p is None:
-            return None
-        return self._index[p]
+        i = int(self.table[c % self.n, d % self.n])
+        return None if i < 0 else i
 
 
 def p1_list(n):
@@ -159,7 +173,8 @@ def _lift_to_sl2(c, d, n):
     while gcd(c, d) != 1:
         d += n
     g, x, y = gcdex(c, d)
-    assert g == 1
+    if g != 1:
+        raise InvariantViolation(f"({c} : {d}) has no SL_2 lift mod {n}")
     return y, -x, c, d
 
 
@@ -207,21 +222,24 @@ class ModSymSpace:
         npts = len(self.p1)
 
         # two-term relations x + x*sigma = 0 pair up the Manin generators;
-        # sigma-fixed generators are 2-torsion and die in the quotient
-        gen_map = [None] * npts
+        # sigma-fixed generators are 2-torsion and die in the quotient.
+        # gen_sign[i] is sign * (pos + 1) for the symbol of P^1 point i, 0
+        # for a torsion symbol; its extra last entry 0 is what a table
+        # lookup of -1 (off P^1) reads.
+        gen_sign = np.zeros(npts + 1, dtype=np.int32)
+        seen = [False] * npts
         reps = []
         for i, (c, d) in enumerate(self.p1.points):
-            if gen_map[i] is not None:
+            if seen[i]:
                 continue
             j = self.p1.index_of(d, -c)
-            if j == i:
-                gen_map[i] = (None, 0)
-                continue
-            gen_map[i] = (len(reps), 1)
-            gen_map[j] = (len(reps), -1)
-            reps.append(i)
+            seen[i] = seen[j] = True
+            if j != i:
+                reps.append(i)
+                gen_sign[i] = len(reps)
+                gen_sign[j] = -len(reps)
         self.reps = reps
-        self.gen_map = gen_map
+        self.gen_sign = gen_sign
         m0 = len(reps)
 
         # three-term relations x + x*tau + x*tau^2 = 0
@@ -235,14 +253,12 @@ class ModSymSpace:
             for _ in range(2):
                 cc, dd = dd % n, (-cc - dd) % n
                 orbit.append(self.p1.index_of(cc, dd))
+            row = [0] * m0
             for j in orbit:
                 done[j] = True
-            row = [0] * m0
-            for j in set(orbit):
-                mult = orbit.count(j)
-                pos, sign = gen_map[j]
-                if pos is not None:
-                    row[pos] += mult * sign
+                s = int(gen_sign[j])
+                if s:
+                    row[abs(s) - 1] += 1 if s > 0 else -1
             if any(row):
                 rel_rows.append(row)
         relations = (IntMatrix.from_rows(rel_rows, m0)
@@ -254,6 +270,13 @@ class ModSymSpace:
         sat_rows = kernel_saturated(ortho.basis) if ortho.rank else IntLattice.standard(m0)
         self.proj, self.sec = complement_projection(sat_rows)
         self.rank = self.proj.cols
+        # a map on M is sec * (generator images) * proj, and sec reads only
+        # the generators in `need`, so only their images are ever computed
+        need = [j for j in range(m0) if any(row[j] for row in self.sec.data)]
+        self._sec_need = IntMatrix(self.rank, len(need),
+                                   [[row[j] for j in need] for row in self.sec.data])
+        self.need_points = np.array([self.p1.points[reps[j]] for j in need],
+                                    dtype=np.int64).reshape(-1, 2)
 
         # boundary map to cusp classes (collect classes from every symbol so
         # the cusp count is right even when a generator dies in the quotient)
@@ -299,34 +322,42 @@ class ModSymSpace:
     def cuspidal_rank(self):
         return self.cuspidal.rank
 
-    def gen_vector(self, c, d):
-        """Image of the Manin symbol (c : d) in the reduced generators."""
-        m0 = len(self.reps)
-        row = [0] * m0
-        j = self.p1.index_of(c, d)
-        if j is not None:
-            pos, sign = self.gen_map[j]
-            if pos is not None:
-                row[pos] += sign
-        return row
+    def symbol_rows(self, c, d, coef):
+        """Rows sum_j coef[j] * (c[i, j] : d[i, j]) on the reduced generators.
 
-    def operator_from_images(self, image_fn):
-        """Matrix on M of the operator sending (c:d) to sum of (image, coef)."""
-        m0 = len(self.reps)
-        rows = []
-        for i in self.reps:
-            c, d = self.p1.points[i]
-            row = [0] * m0
-            for cc, dd, coef in image_fn(c, d):
-                j = self.p1.index_of(cc, dd)
-                if j is None:
-                    continue
-                pos, sign = self.gen_map[j]
-                if pos is not None:
-                    row[pos] += coef * sign
-            rows.append(row)
-        t_gen = IntMatrix.from_rows(rows, m0) if rows else IntMatrix.zeros(0, m0)
-        return self.sec * t_gen * self.proj
+        c and d are k x L integer arrays, coef broadcasts against them; the
+        result is a k x m0 int64 array.  Symbols off P^1 or 2-torsion add 0.
+        """
+        s = self.gen_sign[self.p1.table[c % self.n, d % self.n]]
+        out = np.zeros((s.shape[0], len(self.reps) + 1), dtype=np.int64)
+        np.add.at(out, (np.arange(s.shape[0])[:, None], np.abs(s)),
+                  np.sign(s) * coef)
+        return out[:, 1:]
+
+    def from_generator_rows(self, rows, target):
+        """The map M -> target's M given the images of the needed generators.
+
+        rows[i] is the image of generator need[i] on target's reduced
+        generators; the result is sec * rows * target.proj.
+        """
+        m0 = len(target.reps)
+        images = IntMatrix.from_rows(rows, m0) if rows else IntMatrix.zeros(0, m0)
+        return self._sec_need * images * target.proj
+
+    def operator_from_images(self, mats):
+        """Matrix on M of the operator sum coef * [[a, b], [c, d]].
+
+        mats lists rows (a, b, c, d, coef); the Manin symbol (u : v) maps
+        to the sum of coef * (a*u + c*v : b*u + d*v).
+        """
+        a, b, c, d, coef = np.array(mats, dtype=np.int64).reshape(-1, 5).T
+        pts = self.need_points
+        rows = np.zeros((len(pts), len(self.reps)), dtype=np.int64)
+        step = max(1, _CHUNK_ENTRIES // len(coef))
+        for lo in range(0, len(pts), step):
+            u, v = pts[lo:lo + step, :1], pts[lo:lo + step, 1:]
+            rows[lo:lo + step] = self.symbol_rows(a * u + c * v, b * u + d * v, coef)
+        return self.from_generator_rows(rows.tolist(), self)
 
     def on_cuspidal(self, m_matrix):
         """Restrict an operator on M to coordinates of the S basis."""
@@ -338,8 +369,8 @@ class ModSymSpace:
         Cusps are pairs (p, q) in lowest terms, q = 0 meaning infinity.
         Uses the continued-fraction decomposition into unimodular paths.
         """
-        m0 = len(self.reps)
-        row = [0] * m0
+        n, table = self.n, self.p1.table
+        row = [0] * len(self.reps)
 
         def add_inf_path(p, q, scale):
             # {infinity, p/q} as a sum of Manin symbols
@@ -359,13 +390,9 @@ class ModSymSpace:
                     pk, qk, pk_prev, qk_prev = (a_k * pk + pk_prev,
                                                 a_k * qk + qk_prev, pk, qk)
                 sign = -1 if k % 2 == 0 else 1
-                c = qk % self.n
-                d = (sign * qk_prev) % self.n
-                j = self.p1.index_of(c, d)
-                if j is not None:
-                    pos, s = self.gen_map[j]
-                    if pos is not None:
-                        row[pos] += scale * s
+                s = int(self.gen_sign[table[qk % n, (sign * qk_prev) % n]])
+                if s:
+                    row[abs(s) - 1] += scale if s > 0 else -scale
 
         add_inf_path(beta[0], beta[1], 1)
         add_inf_path(alpha[0], alpha[1], -1)
@@ -391,12 +418,8 @@ def hecke(space, ell):
     cached = space._ops.get(name)
     if cached is not None:
         return cached
-    mats = _merel_matrices(ell)
-
-    def images(c, d):
-        return [((a * c + cc * d), (b * c + dd * d), 1) for a, b, cc, dd in mats]
-
-    m_matrix = space.operator_from_images(images)
+    m_matrix = space.operator_from_images(
+        [(a, b, c, d, 1) for a, b, c, d in _merel_matrices(ell)])
     op = OperatorMatrix(name, space.on_cuspidal(m_matrix))
     space._ops[name] = op
     return op
@@ -440,10 +463,8 @@ def _left_action_matrix(space, w):
     Atkin-Lehner) whose matrices do not act termwise on P^1(Z/nZ).
     """
     wa, wb, wc, wd = w
-    m0 = len(space.reps)
     rows = []
-    for i in space.reps:
-        c, d = space.p1.points[i]
+    for c, d in space.need_points.tolist():
         a, b, cc, dd = _lift_to_sl2(c, d, space.n)
         pa = wa * a + wb * cc
         pc = wc * a + wd * cc
@@ -451,8 +472,7 @@ def _left_action_matrix(space, w):
         pd = wc * b + wd * dd
         rows.append(space.path_vector(_cusp_normalize(pb, pd),
                                       _cusp_normalize(pa, pc)))
-    p_gen = (IntMatrix.from_rows(rows, m0) if rows else IntMatrix.zeros(0, m0))
-    return space.sec * p_gen * space.proj
+    return space.from_generator_rows(rows, space)
 
 
 def atkin_lehner(space, q):
@@ -479,11 +499,7 @@ def star_involution(space):
     cached = space._ops.get("star")
     if cached is not None:
         return cached
-
-    def images(c, d):
-        return [(-c, d, -1)]
-
-    m_matrix = space.operator_from_images(images)
+    m_matrix = space.operator_from_images([(-1, 0, 0, 1, -1)])
     op = OperatorMatrix("star", space.on_cuspidal(m_matrix))
     space._ops["star"] = op
     return op
@@ -491,14 +507,9 @@ def star_involution(space):
 
 def _degeneracy_forget_m(space_n, space_m):
     """Pushforward M(n) -> M(m) induced by reinterpreting Manin symbols."""
-    m0 = len(space_n.reps)
-    rows = []
-    for i in space_n.reps:
-        c, d = space_n.p1.points[i]
-        rows.append(space_m.gen_vector(c, d))
-    d_gen = (IntMatrix.from_rows(rows, len(space_m.reps))
-             if rows else IntMatrix.zeros(0, len(space_m.reps)))
-    return space_n.sec * d_gen * space_m.proj
+    pts = space_n.need_points
+    rows = space_m.symbol_rows(pts[:, :1], pts[:, 1:], 1)
+    return space_n.from_generator_rows(rows.tolist(), space_m)
 
 
 def _cuspidal_map(space_n, space_m, m_level_map):
@@ -542,14 +553,15 @@ def degeneracy(space_n, ell, kind):
     return op
 
 
-def _coset_reps(n, m):
-    """SL_2(Z) representatives of Gamma_0(n) \\ Gamma_0(m), for m | n."""
+def _coset_reps(p1n, m):
+    """SL_2(Z) representatives of Gamma_0(n) \\ Gamma_0(m), for m | n = p1n.n."""
     reps = []
-    p1n = P1(n)
     for c, d in p1n.points:
         if c % m == 0:
-            a, b, cc, dd = _lift_to_sl2(c, d, n)
-            assert cc % m == 0
+            a, b, cc, dd = _lift_to_sl2(c, d, p1n.n)
+            if cc % m:
+                raise InvariantViolation(
+                    f"lift of ({c} : {d}) left Gamma_0({m}) at level {p1n.n}")
             reps.append((a, b, cc, dd))
     return reps
 
@@ -562,11 +574,9 @@ def degeneracy_pullback(space_n, ell, kind):
     if n % ell != 0 or n == ell:
         raise ValueError("invalid degeneracy prime")
     space_m = build_space(n // ell)
-    reps = _coset_reps(n, n // ell)
-    m0_m = len(space_m.reps)
+    reps = _coset_reps(space_n.p1, n // ell)
     rows = []
-    for i in space_m.reps:
-        u, v = space_m.p1.points[i]
+    for u, v in space_m.need_points.tolist():
         a, b, uu, vv = _lift_to_sl2(u, v, space_m.n)
         row = [0] * len(space_n.reps)
         for (ga, gb, gc, gd) in reps:
@@ -579,9 +589,7 @@ def degeneracy_pullback(space_n, ell, kind):
             for k, x in enumerate(seg):
                 row[k] += x
         rows.append(row)
-    d_gen = (IntMatrix.from_rows(rows, len(space_n.reps))
-             if rows else IntMatrix.zeros(0, len(space_n.reps)))
-    m_map = space_m.sec * d_gen * space_n.proj
+    m_map = space_m.from_generator_rows(rows, space_n)
     pull_forget = _cuspidal_map(space_m, space_n, m_map)
     if kind == "forget":
         return OperatorMatrix(f"pull_forget_{ell}", pull_forget)

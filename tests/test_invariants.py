@@ -218,3 +218,30 @@ def test_cong_report_det_path_matches_snf():
             assert det_rep.total_order == snf_rep.total_order
             assert det_rep.p_parts == snf_rep.p_parts
             assert det_rep.invariant_factors is None
+
+
+def test_report_tripwire_raises_under_python_O():
+    # the check must not be an `assert`, which `python -O` strips
+    import os
+    import subprocess
+    import sys
+
+    import maninforge
+
+    script = (
+        "from maninforge.exact_linalg import InvariantViolation\n"
+        "from maninforge.invariants import CongModuleReport\n"
+        "assert False, 'python -O keeps asserts'\n"
+        "rep = CongModuleReport('S', (1, 1), (2, 6), 12, {2: 4, 3: 5})\n"
+        "try:\n"
+        "    rep.check()\n"
+        "except InvariantViolation as exc:\n"
+        "    print('raised', isinstance(exc, AssertionError), exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(maninforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised True"), out.stdout
+    assert "p-parts multiply to 20" in out.stdout

@@ -2,15 +2,19 @@
 
 Oracles used here are independent of the implementation:
 - the genus and cusp-count formulas for X_0(n),
-- eta-product q-expansions for the weight-2 newforms at genus-one levels.
+- eta-product q-expansions for the weight-2 newforms at genus-one levels,
+- commutativity of the Hecke operators and the Weil bound |a_ell| <= 2 sqrt(ell)
+  on their eigenvalues, checked exactly by sympy's real-root counting.
 """
 
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from maninforge.exact_linalg import IntMatrix, kernel_saturated
+from maninforge.hecke_algebra import primes_upto, sturm_bound
 from maninforge.modsym import (
     atkin_lehner,
     build_space,
@@ -167,6 +171,18 @@ def test_p1_normalization_is_orbit_invariant():
                     assert p1.normalize(c * u, d * u) == (c, d)
 
 
+@pytest.mark.parametrize("n", [1, 12, 15, 35, 66])
+def test_p1_table_matches_normalize(n):
+    from maninforge.modsym import P1
+
+    p1 = P1(n)
+    for c in range(n):
+        for d in range(n):
+            p = p1.normalize(c, d)
+            assert (p is None) == (gcd(gcd(c, d), n) > 1)
+            assert p1.index_of(c, d) == (None if p is None else p1.points.index(p))
+
+
 @pytest.mark.parametrize("n", list(range(1, 73)))
 def test_space_matches_genus_and_cusp_formulas(n):
     sp = build_space(n)
@@ -203,6 +219,60 @@ def test_hecke_operators_commute():
     for i in range(len(ops)):
         for j in range(i):
             assert ops[i] * ops[j] == ops[j] * ops[i]
+
+
+@pytest.fixture(scope="module")
+def hecke_431():
+    """The algebra's generators at 431: T_ell up to the Sturm bound, U_431."""
+    sp = build_space(431)
+    return {ell: hecke(sp, ell).matrix for ell in primes_upto(sturm_bound(431)) + [431]}
+
+
+def test_hecke_operators_commute_at_431(hecke_431):
+    ops = list(hecke_431.values())
+    assert len(ops) == 21
+    for i in range(len(ops)):
+        for j in range(i):
+            assert ops[i] * ops[j] == ops[j] * ops[i]
+
+
+def _meets_weil_bound(coeffs, ell):
+    """Every root r of the polynomial is real with r^2 <= 4*ell (exact)."""
+    x = sympy.Symbol("x")
+    # count_roots counts distinct roots, so count on irreducible factors
+    _c, factors = sympy.Poly(list(reversed(coeffs)), x).factor_list()
+    for g, _e in factors:
+        if g.count_roots() != g.degree():
+            return False
+        # g(x) g(-x) = +-h(x^2), and the roots of h are the squares r^2
+        even = (g * g.compose(sympy.Poly(-x, x))).all_coeffs()
+        h = sympy.Poly(even[::2], x).sqf_part()
+        if h.count_roots(0, 4 * ell) != h.degree():
+            return False
+    return True
+
+
+def test_weil_bound_oracle_self_check():
+    assert _meets_weil_bound((2, 0, 1), 2) is False  # x^2 + 2: not real
+    assert _meets_weil_bound((-9, 0, 1), 2) is False  # roots +-3 > 2*sqrt(2)
+    assert _meets_weil_bound((-8, 0, 1), 2) is True  # roots +-2*sqrt(2)
+    assert _meets_weil_bound((1, -2, 1), 2) is True  # (x - 1)^2
+
+
+def test_hecke_charpolys_meet_weil_bound_at_431(hecke_431):
+    # U_431 acts on newforms of prime level by a_431 = +-1
+    for ell, t in hecke_431.items():
+        assert _meets_weil_bound(charpoly_int(t).coeffs, ell), ell
+
+
+def test_hecke_charpolys_meet_weil_bound_at_66():
+    # the bound is for T_ell with ell prime to the level: U_p at p | 66
+    # acts on oldforms with the non-real roots of x^2 - a_p x + p
+    sp = build_space(66)
+    good = [ell for ell in primes_upto(sturm_bound(66) + 1) if 66 % ell]
+    assert good == [5, 7, 13, 17, 19, 23]
+    for ell in good:
+        assert _meets_weil_bound(charpoly_int(hecke(sp, ell).matrix).coeffs, ell), ell
 
 
 # --- involutions -----------------------------------------------------------
