@@ -7,6 +7,7 @@ canonical row Hermite normal form, which makes equality bit-identical.
 
 import logging
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -57,15 +58,16 @@ def gcdex(a, b):
 class IntMatrix:
     """Dense integer matrix with exact arithmetic, stored row-major."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_max_abs")
 
     def __init__(self, rows, cols, data):
-        data = tuple(tuple(int(x) for x in row) for row in data)
+        data = tuple(tuple(map(int, row)) for row in data)
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ValueError("entry count does not match shape")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_max_abs", None)
 
     def __setattr__(self, *args):
         raise AttributeError("IntMatrix is immutable")
@@ -115,10 +117,16 @@ class IntMatrix:
         return IntMatrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
 
     def is_zero(self):
-        return all(x == 0 for row in self.data for x in row)
+        return self.max_abs() == 0
 
     def max_abs(self):
-        return max((abs(x) for row in self.data for x in row), default=0)
+        """Largest absolute entry (0 when empty), computed once."""
+        m = self._max_abs
+        if m is None:
+            m = (max(max(map(max, self.data)), -min(map(min, self.data)))
+                 if self.rows and self.cols else 0)
+            object.__setattr__(self, "_max_abs", m)
+        return m
 
     def __add__(self, other):
         self._check_shape(other)
@@ -157,8 +165,11 @@ class IntMatrix:
         if bound < 2**62 and self.rows and self.cols and other.cols:
             a = np.array(self.data, dtype=np.int64)
             b = np.array(other.data, dtype=np.int64)
-            return IntMatrix(self.rows, other.cols, (a @ b).tolist())
-        bt = list(zip(*other.data))
+            prod = a @ b
+            out = IntMatrix(self.rows, other.cols, prod.tolist())
+            object.__setattr__(out, "_max_abs", int(np.abs(prod).max()))
+            return out
+        bt = list(zip(*other.data)) if other.rows else [()] * other.cols
         out = [
             [sum(x * y for x, y in zip(row, col)) for col in bt]
             for row in self.data
@@ -557,14 +568,65 @@ def _hadamard_bound(data):
     return r
 
 
-def _primes_desc(start):
-    """Primes strictly below `start`, descending (for int64-safe mod-p work)."""
-    p = start
-    while p > 2:
-        p -= 1
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
-            yield p
+# ---------------------------------------------------------------------------
+# Word-size primes and exact products modulo them
+
+
+@cache
+def _odd_prime_sieve():
+    """Byte i is 1 exactly when 2i + 1 is a prime below 2^20."""
+    n = 1 << 19
+    sieve = bytearray([1]) * n
+    sieve[0] = 0
+    for i in range(1, 512):  # odd q = 2i + 1 up to sqrt(2^20)
+        if sieve[i]:
+            q = 2 * i + 1
+            start = q * q // 2
+            sieve[start::q] = bytes(len(range(start, n, q)))
+    return bytes(sieve)
+
+
+def _word_primes():
+    """Primes below 2^20, descending: the primes of every mod-p loop.
+
+    Their residues multiply exactly through _matmul_mod.
+    """
+    sieve = _odd_prime_sieve()
+    i = sieve.rfind(1)
+    while i > 0:
+        yield 2 * i + 1
+        i = sieve.rfind(1, 0, i)
+    yield 2
     raise RuntimeError("prime supply exhausted")
+
+
+def _matmul_mod(a, b, p):
+    """(a @ b) mod p for arrays of integers in [0, p), as int64.
+
+    The operands are integer arrays, or float64 arrays holding integers,
+    of any shape `@` takes: 1-D, 2-D or batched.  The product runs on
+    float64 BLAS, exactly: each term is at most (p-1)^2, and the inner
+    dimension is summed in blocks of at most floor((2^53 - 1) / (p-1)^2)
+    terms (8192 near 2^20), so every partial sum is an integer that
+    float64 represents exactly (Dumas, Giorgi and Pernet, "Dense linear
+    algebra over word-size prime fields: the FFLAS and FFPACK packages",
+    ACM TOMS 35(3), 2008).  Raises ValueError when (p-1)^2 >= 2^53,
+    where a single term may already be inexact.
+    """
+    sq = (p - 1) ** 2
+    if sq >= 1 << 53:
+        raise ValueError(f"modulus {p} is too large for exact float64 products")
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    k = a.shape[-1]
+    block = ((1 << 53) - 1) // max(sq, 1)
+    if k <= block:
+        return (a @ b).astype(np.int64) % p
+    out = 0
+    for lo in range(0, k, block):
+        bb = b[lo:lo + block] if b.ndim == 1 else b[..., lo:lo + block, :]
+        out = (out + (a[..., lo:lo + block] @ bb).astype(np.int64)) % p
+    return out
 
 
 class _ModReducer:
@@ -580,7 +642,7 @@ class _ModReducer:
 
     def __init__(self, flat, shape):
         self.shape = shape
-        amax = max((abs(x) for x in flat), default=0)
+        amax = max(max(flat), -min(flat)) if flat else 0
         if amax < 2**62:
             self._arr = np.array(flat, dtype=np.int64).reshape(shape)
             self._limbs = None
@@ -645,7 +707,7 @@ def _det_multimodular(data):
     residue, modulus = 0, 1
     small = all(abs(x) < 2**62 for row in data for x in row)
     arr = np.array(data, dtype=np.int64) if small else None
-    for p in _primes_desc(1 << 20):
+    for p in _word_primes():
         if arr is not None:
             A = np.mod(arr, p)
         else:
@@ -943,7 +1005,7 @@ def _modular_kernel(n, matrix_mod, accept):
     the whole rational kernel, and a pivot set that undercounts the rank
     never certifies.
     """
-    prime_iter = _primes_desc(1 << 20)
+    prime_iter = _word_primes()
     for _restart in range(5):
         pivots = None
         residues = None

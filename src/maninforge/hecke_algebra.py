@@ -21,7 +21,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -33,6 +33,9 @@ from .exact_linalg import (
     IntMatrix,
     InvariantViolation,
     RatMatrix,
+    _matmul_mod,
+    _ModReducer,
+    _word_primes,
     lattice_intersect,
     quotient_invariants,
     restrict_operator,
@@ -71,28 +74,7 @@ __all__ = [
 ]
 
 _PIVOT_PRIME = 2147483629  # large prime for pivot-column selection
-
-_CHECK_PRIME_LIST = []
-
-
-def _check_primes():
-    """Deterministic primes below 2^20 (int64-safe for vectorized checks)."""
-    from .exact_linalg import _primes_desc
-
-    i = 0
-    gen = None
-    while True:
-        if i < len(_CHECK_PRIME_LIST):
-            yield _CHECK_PRIME_LIST[i]
-        else:
-            if gen is None:
-                gen = _primes_desc(1 << 20)
-                for _ in range(len(_CHECK_PRIME_LIST)):
-                    next(gen)
-            p = next(gen)
-            _CHECK_PRIME_LIST.append(p)
-            yield p
-        i += 1
+_RESIDUE_CACHE_BYTES = 1 << 30  # budget of each ring's basis-residue cache
 
 
 def primes_upto(bound):
@@ -244,17 +226,39 @@ class _BasisRing:
 
     @cached_property
     def _fast_rows(self):
-        """(int64 basis rows or None, largest basis entry, residue cache)."""
-        rows = [[x for r in m.data for x in r] for m in self.basis_mats]
-        bmax = max((abs(x) for r in rows for x in r), default=0)
-        arr = np.array(rows, dtype=np.int64) if 0 < bmax < 2**62 else None
-        return arr, bmax, {}
+        """(int64 basis rows or None, largest basis entry, residues).
+
+        residues(p) is the basis modulo a word prime p as a (rank, dim_s^2)
+        array: the one residue source for the basis, kept per prime up to
+        a byte budget.
+        """
+        bmax = max((m.max_abs() for m in self.basis_mats), default=0)
+        shape = (self.rank, self.dim_s * self.dim_s)
+        if 0 < bmax < 2**62:
+            arr = np.array([m.data for m in self.basis_mats],
+                           dtype=np.int64).reshape(shape)
+            reduce = partial(np.mod, arr)
+        else:
+            arr = None
+            reduce = _ModReducer([x for m in self.basis_mats
+                                  for r in m.data for x in r], shape).mod
+        cache = {}
+
+        def residues(p):
+            rp = cache.get(p)
+            if rp is None:
+                rp = reduce(p).astype(np.int32)  # p < 2^20
+                if (len(cache) + 1) * rp.nbytes <= _RESIDUE_CACHE_BYTES:
+                    cache[p] = rp
+            return rp
+
+        return arr, bmax, residues
 
     def _verify_coords(self, coords, row, mat):
         """Exact check that sum coords_i * basis_i reproduces the matrix."""
-        arr, bmax, prime_cache = self._fast_rows
+        arr, bmax, residues = self._fast_rows
         cmax = max((abs(int(c)) for c in coords), default=0)
-        tmax = max((abs(x) for x in row), default=0)
+        tmax = mat.max_abs()
         # int64 path is exact when no intermediate can overflow
         if (arr is not None and tmax < 2**62
                 and self.rank * cmax * bmax < 2**62):
@@ -267,16 +271,9 @@ class _BasisRing:
             need = 2 * (self.rank * cmax * bmax + tmax) + 1
             want = np.array(row, dtype=np.int64)
             modulus = 1
-            for p in _check_primes():
-                ap = prime_cache.get(p)
-                if ap is None:
-                    # int32 residues (p < 2^20); matmul promotes to int64
-                    ap = np.mod(arr, p).astype(np.int32)
-                    # cache residue arrays up to a byte budget, not a count
-                    if (len(prime_cache) + 1) * ap.nbytes <= 1 << 30:
-                        prime_cache[p] = ap
+            for p in _word_primes():
                 zp = np.array([int(c) % p for c in coords], dtype=np.int64)
-                if np.any((zp @ ap - want) % p):
+                if np.any(_matmul_mod(zp, residues(p), p) != want % p):
                     return False
                 modulus *= p
                 if modulus >= need:
@@ -622,7 +619,7 @@ def _build_algebra_big(space):
     # reconstruct the (small) canonical basis B = H * R_proj^-1 * R by CRT
     # over small primes; correctness is certified afterwards, so the prime
     # budget only affects how often we have to retry
-    prime_gen = _check_primes()
+    prime_gen = _word_primes()
     x_parts = []  # (p, xp) with xp = H * R_proj^-1 mod p; full-width rows
     # are reconstructed from these in column chunks to bound memory
     modulus = 1
@@ -640,13 +637,13 @@ def _build_algebra_big(space):
                 continue
             hp = np.array([[x % p for x in row] for row in h_rows],
                           dtype=np.int64)
-            x_parts.append((p, hp @ inv_p % p))
+            x_parts.append((p, _matmul_mod(hp, inv_p, p)))
             modulus *= p
         _logger.debug("big build: HNF done, reconstructing basis (%d bits)", target_bits)
         b_rows = [[] for _ in range(rank)]
         for lo in range(0, n2, chunk):
             cols = _crt_rows(
-                [(p, xp @ np.mod(r_rows[:, lo:lo + chunk], p) % p)
+                [(p, _matmul_mod(xp, np.mod(r_rows[:, lo:lo + chunk], p), p))
                  for p, xp in x_parts],
                 modulus)
             for bi, ci in zip(b_rows, cols):
@@ -659,8 +656,7 @@ def _build_algebra_big(space):
             cand = HeckeAlgebra(n, space, dict(seeds), basis_mats, rank)
             cand._solver = _PivotSolver(b_rows, pivots)
             _logger.debug("big build: certifying generators")
-            if _certify_generators_big(cand, space, prime_ops, bound,
-                                       b_rows, r):
+            if _certify_generators_big(cand, space, prime_ops, bound, r):
                 algebra = cand
                 break
         target_bits *= 2
@@ -673,7 +669,7 @@ def _build_algebra_big(space):
     return algebra
 
 
-def _certify_generators_big(cand, space, prime_ops, bound, b_rows, r):
+def _certify_generators_big(cand, space, prime_ops, bound, r):
     """Exact proof that every generator (and the identity) lies in span_Z(B).
 
     Integer coordinates are solved through the pivot columns; the full
@@ -685,8 +681,8 @@ def _certify_generators_big(cand, space, prime_ops, bound, b_rows, r):
     span_Q, and the projection isomorphism then identifies span_Z(B) with
     the HNF of the projected generator lattice.
     """
-    n2 = len(b_rows[0])
-    rank = len(b_rows)
+    n2 = r * r
+    rank = cand.rank
     gen_rows = np.empty((bound + 1, n2), dtype=np.int64)
     zs = []
     count = 0
@@ -706,20 +702,21 @@ def _certify_generators_big(cand, space, prime_ops, bound, b_rows, r):
     zs.append(z)
     count += 1
     gen_rows = gen_rows[:count]
+    _arr, bmax, residues = cand._fast_rows
     cmax = max((abs(c) for z in zs for c in z), default=0)
-    bmax = max((abs(x) for row in b_rows for x in row), default=0)
     tmax = int(np.abs(gen_rows).max()) if count else 0
     need = 2 * (rank * cmax * bmax + tmax) + 1
     modulus = 1
-    for p in _check_primes():
-        bp = np.array([[x % p for x in row] for row in b_rows],
-                      dtype=np.int64)
+    for p in _word_primes():
         zp = np.array([[c % p for c in z] for z in zs], dtype=np.int64)
-        if np.any((zp @ bp - np.mod(gen_rows, p)) % p):
+        if np.any(_matmul_mod(zp, residues(p), p) != np.mod(gen_rows, p)):
             return False
         modulus *= p
         if modulus >= need:
             return True
+
+
+_TRIPWIRE_CHUNK = 16  # pairs per batched product: bounds the working set
 
 
 def _closure_tripwire_big(algebra, seeds, b_rows, pos):
@@ -728,41 +725,46 @@ def _closure_tripwire_big(algebra, seeds, b_rows, pos):
     Closure of the span holds by construction (every T_m is a polynomial
     in the seeds), so this is a tripwire against implementation bugs:
     coordinates of sampled basis-times-seed products are solved exactly
-    through the pivot columns, and the remaining columns are compared
-    modulo a couple of word-sized primes.
+    through the pivot columns, and the remaining columns, z * b_rows
+    against basis_i * seed_j, are compared modulo a couple of word-sized
+    primes in batches of _TRIPWIRE_CHUNK pairs.
     """
     import random
 
-    rank = algebra.rank
+    rank, r = algebra.rank, algebra.dim_s
     seed_list = list(seeds.values())
     pairs = [(i, j) for i in range(rank) for j in range(len(seed_list))]
     rng = random.Random(rank)
     if len(pairs) > 120:
         pairs = rng.sample(pairs, 120)
-    prime_gen = _check_primes()
-    bp_cache = []
-    for _ in range(2):
-        p = next(prime_gen)
-        bp = np.array([[x % p for x in row] for row in b_rows],
-                      dtype=np.int64)
-        bp_cache.append((p, bp))
+    zs = []
     for i, j in pairs:
         bmat = algebra.basis_mats[i]
-        g = seed_list[j]
-        gcols = list(zip(*g.data))
+        gcols = list(zip(*seed_list[j].data))
         w = [sum(x * y for x, y in zip(bmat.data[a], gcols[c]))
              for a, c in pos]
         z = algebra._solver.solve_projected(w)
         if z is None:
             raise ValueError("Hecke algebra closure verification failed")
-        for p, bp in bp_cache:
-            zp = np.array([c % p for c in z], dtype=np.int64)
-            bmp = np.array([[x % p for x in row] for row in bmat.data],
-                           dtype=np.int64)
-            gp = np.array([[x % p for x in row] for row in g.data],
-                          dtype=np.int64)
-            want = (bmp @ gp % p).reshape(-1)
-            if np.any((zp @ bp - want) % p):
+        zs.append(z)
+    b_red = _ModReducer([x for row in b_rows for x in row], (rank, r * r))
+    g_red = _ModReducer([x for g in seed_list for row in g.data for x in row],
+                        (len(seed_list), r, r))
+    _arr, _bmax, residues = algebra._fast_rows
+    left = np.array([i for i, _j in pairs])
+    right = np.array([j for _i, j in pairs])
+    prime_gen = _word_primes()
+    for _ in range(2):
+        p = next(prime_gen)
+        bp = b_red.mod(p)
+        basis_p = residues(p).reshape(rank, r, r)
+        gp = g_red.mod(p)
+        zp = np.array([[c % p for c in z] for z in zs], dtype=np.int64)
+        for lo in range(0, len(pairs), _TRIPWIRE_CHUNK):
+            sl = slice(lo, lo + _TRIPWIRE_CHUNK)
+            want = _matmul_mod(basis_p[left[sl]], gp[right[sl]], p)
+            if np.any(_matmul_mod(zp[sl], bp, p)
+                      != want.reshape(len(want), -1)):
                 raise ValueError(
                     "Hecke algebra closure verification failed")
 
@@ -878,8 +880,7 @@ def poly_kernel_saturated(t, g):
 
     n = t.rows
     cs = g.coeffs
-    tmax = max((abs(x) for row in t.data for x in row), default=0)
-    t64 = np.array(t.data, dtype=np.int64) if tmax < 2**62 else None
+    t64 = np.array(t.data, dtype=np.int64) if t.max_abs() < 2**62 else None
 
     def matrix_mod(ps):
         for p in ps:
@@ -907,7 +908,7 @@ def _poly_mod_horner(mat_p, cs, p):
     diag = np.arange(n)
     acc[diag, diag] = cs[-1] % p
     for c in reversed(cs[:-1]):
-        acc = (acc @ mat_p) % p
+        acc = _matmul_mod(acc, mat_p, p)
         cp = c % p
         if cp:
             acc[diag, diag] = (acc[diag, diag] + cp) % p
@@ -922,7 +923,7 @@ def _certify_poly_kernel(t, g, lat):
     is checked modulo primes whose product exceeds twice an a-priori
     entry bound, which makes the vanishing exact.
     """
-    from .exact_linalg import _primes_desc, coordinates_of
+    from .exact_linalg import coordinates_of
 
     k = lat.rank
     if k == 0:
@@ -941,7 +942,7 @@ def _certify_poly_kernel(t, g, lat):
     bound = 2 * bound
     m64 = np.array(coords, dtype=np.int64) if mmax < 2**62 else None
     modulus = 1
-    for p in _primes_desc(1 << 20):
+    for p in _word_primes():
         mp = (np.mod(m64, p) if m64 is not None else
               np.array([[x % p for x in row] for row in coords],
                        dtype=np.int64))
@@ -1122,17 +1123,21 @@ class _ModPAlgebra:
         self.p = p
         self.d = ring.rank
         table, _tmax = ring._table_array
-        # residues below p keep every contraction sum below d * p^2
-        dtype = np.int64 if self.d * p * p < 2**63 else object
-        self.table = np.mod(table, p).astype(dtype)
+        if (p - 1) ** 2 < 1 << 53:
+            # kept as float64, the dtype _matmul_mod computes in
+            self.table = np.mod(table, p).astype(np.float64)
+            self._matmul = partial(_matmul_mod, p=p)
+        else:  # residues too wide for exact float64 products
+            self.table = np.mod(table, p).astype(object)
+            self._matmul = lambda a, b: a @ b % p
         self.unit = tuple(c % p for c in ring.unit_coords())
 
     def mul(self, x, y):
         p, d, dtype = self.p, self.d, self.table.dtype
         xv = np.array([int(c) % p for c in x], dtype=dtype)
         yv = np.array([int(c) % p for c in y], dtype=dtype)
-        xt = (xv @ self.table % p).reshape(d, d)
-        return tuple((yv @ xt % p).tolist())
+        xt = self._matmul(xv, self.table).reshape(d, d)
+        return tuple(self._matmul(yv, xt).tolist())
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))

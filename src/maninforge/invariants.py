@@ -96,6 +96,7 @@ class LevelData:
         self._orders = {}
         self._s_kernels = {}
         self._t_kernels = {}
+        self._cong_reports = {}
         self._max_ideals = {}
         self._presentations = {}
         self._reports = {}
@@ -121,6 +122,15 @@ class LevelData:
             t_eperp = _annihilator_of(self.algebra, s_ef)
             self._t_kernels[cls.label] = (t_ef, t_eperp)
         return self._t_kernels[cls.label]
+
+    def cong_report(self, cls, carrier):
+        """The checked "S" or "T" congruence report of a class, computed once."""
+        key = (carrier, cls.label)
+        if key not in self._cong_reports:
+            build = (_s_congruence_report if carrier == "S"
+                     else _t_congruence_report)
+            self._cong_reports[key] = build(self, cls)
+        return self._cong_reports[key]
 
     def max_ideals(self, p):
         if p not in self._max_ideals:
@@ -152,31 +162,32 @@ def _annihilator_of(algebra, sublattice):
     """
     import numpy as np
 
-    from .exact_linalg import _ModReducer, _primes_desc, _rref_mod_p, gcdex
+    from .exact_linalg import (
+        _matmul_mod,
+        _ModReducer,
+        _rref_mod_p,
+        _word_primes,
+        gcdex,
+    )
 
     d = algebra.rank
     if sublattice.rank == 0:
         return IntLattice.standard(d)
     lb = sublattice.basis
     k, n = lb.rows, lb.cols
-    lmax = max(abs(x) for row in lb.data for x in row)
-    bmax = max(abs(x) for m in algebra.basis_mats
-               for row in m.data for x in row)
+    lmax = lb.max_abs()
+    _arr, bmax, b_residues = algebra._fast_rows
     ebound = n * lmax * bmax  # bound on any entry of R
     _logger.debug(
         "annihilator: d=%d k=%d n=%d lmax %d bits, bmax %d bits",
         d, k, n, lmax.bit_length(), bmax.bit_length())
     l_red = _ModReducer([x for row in lb.data for x in row], (k, n))
-    b_red = _ModReducer(
-        [x for m in algebra.basis_mats for row in m.data for x in row],
-        (d, n, n))
-    _logger.debug("annihilator: residue tables ready")
 
     def rows_mod(p):
-        lp, bp = l_red.mod(p), b_red.mod(p)
-        return (np.matmul(lp, bp) % p).reshape(d, k * n)
+        bp = b_residues(p).reshape(d, n, n)
+        return _matmul_mod(l_red.mod(p), bp, p).reshape(d, k * n)
 
-    prime_iter = _primes_desc(1 << 20)
+    prime_iter = _word_primes()
     for _attempt in range(3):
         p0 = next(prime_iter)
         _red, pivots = _rref_mod_p(rows_mod(p0), p0)
@@ -188,10 +199,10 @@ def _annihilator_of(algebra, sublattice):
         nn_list = [j % n for j in pivots]
 
         def proj_mod(p):
-            lp, bp = l_red.mod(p), b_red.mod(p)
-            lsel = lp[kk_list]
-            sel = bp[:, :, nn_list]
-            return np.einsum("ij,mji->mi", lsel, sel) % p
+            # entry (m, i) is row kk_i of L times column nn_i of b_m
+            lsel = l_red.mod(p)[kk_list][:, None, :]
+            sel = b_residues(p).reshape(d, n, n)[:, :, nn_list]
+            return _matmul_mod(lsel, sel.transpose(2, 1, 0), p)[:, 0, :].T
 
         # exact pivot columns of R by CRT against the a-priori bound
         res = None
@@ -222,7 +233,7 @@ def _annihilator_of(algebra, sublattice):
             return kern
         # tripwire: the kernel must kill all of R, proved multimodularly;
         # a failure means the pivot prime undercounted the rank — retry
-        vmax = max(abs(x) for row in kern.basis.data for x in row)
+        vmax = kern.basis.max_abs()
         need = 2 * d * vmax * ebound
         _logger.debug("annihilator: vmax %d bits, verification needs "
                       "%d bits", vmax.bit_length(), need.bit_length())
@@ -231,11 +242,11 @@ def _annihilator_of(algebra, sublattice):
         modulus = 1
         good = True
         checked = 0
-        for p in _primes_desc(1 << 20):
+        for p in _word_primes():
             vp = (np.mod(v64, p) if v64 is not None else
                   np.array([[x % p for x in row]
                             for row in kern.basis.data], dtype=np.int64))
-            if np.any((vp @ rows_mod(p)) % p):
+            if np.any(_matmul_mod(vp, rows_mod(p), p)):
                 good = False
                 break
             modulus *= p
@@ -335,34 +346,27 @@ def congruence_module(m_lattice, e_f, carrier="lattice", label=()):
 
 def cong_number(algebra, cls):
     """cong_f = #(T / (T[e_f] + T[e_perp]))."""
-    data = level_data(algebra.level)
-    t_ef, t_eperp = data.t_kernels(cls)
-    rep = _cong_report("T", cls.label, algebra.rank, t_ef, t_eperp)
-    rep.check()
-    return rep.total_order
+    return level_data(algebra.level).cong_report(cls, "T").total_order
 
 
 def modular_degree(space, cls):
     """deg_f, the square root of the order of the S-congruence module."""
-    data = level_data(space.n)
+    return isqrt(level_data(space.n).cong_report(cls, "S").total_order)
+
+
+def _s_congruence_report(data, cls):
+    """The S-congruence report, whose order must be a perfect square."""
     s_ef, s_eperp = data.s_kernels(cls)
-    rep = _cong_report("S", cls.label, space.cuspidal_rank, s_ef, s_eperp)
+    rep = _cong_report("S", cls.label, data.space.cuspidal_rank,
+                       s_ef, s_eperp)
     rep.check()
     root = isqrt(rep.total_order)
     if root * root != rep.total_order:
         raise AssertionError(
             "S-congruence module order is not a perfect square: "
-            f"level {space.n} class {cls.label} order {rep.total_order} "
+            f"level {data.n} class {cls.label} order {rep.total_order} "
             f"factors {rep.invariant_factors}"
         )
-    return root
-
-
-def _s_congruence_report(data, cls):
-    s_ef, s_eperp = data.s_kernels(cls)
-    rep = _cong_report("S", cls.label, data.space.cuspidal_rank,
-                       s_ef, s_eperp)
-    rep.check()
     return rep
 
 
@@ -577,15 +581,8 @@ def deg_cong_report(n, analyze_ideals=True, primes=None, class_index=None):
     for cls in data.classes:
         if class_index is not None and cls.label[1] != class_index:
             continue
-        s_rep = _s_congruence_report(data, cls)
-        t_rep = _t_congruence_report(data, cls)
-        deg = isqrt(s_rep.total_order)
-        if deg * deg != s_rep.total_order:
-            raise AssertionError(
-                "S-congruence module order is not a perfect square: "
-                f"level {n} class {cls.label}"
-            )
-        cong = t_rep.total_order
+        deg = isqrt(data.cong_report(cls, "S").total_order)
+        cong = data.cong_report(cls, "T").total_order
         prime_set = sorted(set(_factorize(deg)) | set(_factorize(cong)))
         prime_entries = []
         for p in prime_set:

@@ -271,7 +271,7 @@ def int_poly_gcd(a, b):
     b = b.primitive()
     if a.degree == 0 or b.degree == 0:
         return IntPoly([1])
-    from .exact_linalg import _primes_desc, gcdex
+    from .exact_linalg import _word_primes, gcdex
 
     la, lb = a.leading(), b.leading()
     gl = gcd(la, lb)
@@ -279,7 +279,7 @@ def int_poly_gcd(a, b):
     residue = None  # CRT state for the coefficients of gl * (monic gcd)
     modulus = 1
     attempt_at = 1
-    for p in _primes_desc(1 << 20):
+    for p in _word_primes():
         if la % p == 0 or lb % p == 0:
             continue
         gp = FpPoly.from_int_poly(a, p).gcd(FpPoly.from_int_poly(b, p))
@@ -902,9 +902,9 @@ def charpoly_int(m):
     modulus = 1
     use_numpy = n > 64
     if use_numpy:
-        from .exact_linalg import _primes_desc
+        from .exact_linalg import _word_primes
 
-        prime_src = _primes_desc(1 << 20)
+        prime_src = _word_primes()
     else:
         prime_src = _primes_from(1 << 30)
     small_entries = amax < 2**62

@@ -1,5 +1,6 @@
 """Tests for the exact integer linear algebra kernel."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -337,14 +338,14 @@ def test_lattice_ops_standard_shortcuts():
 
 
 def test_mod_reducer_matches_direct():
-    from maninforge.exact_linalg import _ModReducer, _primes_desc
+    from maninforge.exact_linalg import _ModReducer, _word_primes
 
     rng = random.Random(7)
     flat = [rng.randint(-(10**90), 10**90) for _ in range(300)]
     flat += [0, 1, -1, 2**200, -(2**199)]
     red = _ModReducer(flat, (len(flat),))
     assert red._limbs is not None  # bigint limb path engaged
-    primes = _primes_desc(1 << 20)
+    primes = _word_primes()
     for _ in range(4):
         p = next(primes)
         got = red.mod(p)
@@ -353,3 +354,146 @@ def test_mod_reducer_matches_direct():
     red64 = _ModReducer(small, (10, 10))
     assert red64._limbs is None  # machine-word fast path
     assert red64.mod(1048573).reshape(-1).tolist() == [x % 1048573 for x in small]
+
+
+def test_word_primes_are_every_prime_below_2_20_descending():
+    from maninforge.exact_linalg import _word_primes
+
+    n = 1 << 20
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for q in range(2, 1 << 10):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    want = [q for q in range(n - 1, 1, -1) if sieve[q]]
+    assert len(want) == 82025  # pi(2^20)
+    primes = _word_primes()
+    assert list(itertools.islice(primes, len(want))) == want
+    assert want[0] == 1048573 and want[-1] == 2
+    with pytest.raises(RuntimeError, match="exhausted"):
+        next(primes)
+
+
+def _py_matmul_mod(a, b, p):
+    """(a @ b) mod p in Python integers, for nested lists of rank 1 or 2."""
+    a2 = a if isinstance(a[0], list) else [a]
+    b2 = b if isinstance(b[0], list) else [[x] for x in b]
+    out = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b2)]
+           for row in a2]
+    if not isinstance(b[0], list):
+        out = [row[0] for row in out]
+    return out if isinstance(a[0], list) else out[0]
+
+
+def test_matmul_mod_exact_past_one_float_block():
+    import numpy as np
+
+    from maninforge.exact_linalg import _matmul_mod
+
+    p = 1048573  # the largest prime below 2^20
+    k = 8200  # floor((2^53 - 1) / (p - 1)^2) = 8192 terms fit one block
+    assert ((1 << 53) - 1) // (p - 1) ** 2 < k
+    a = np.full((2, k), p - 1, dtype=np.int64)
+    b = np.full((k, 2), p - 1, dtype=np.int64)
+    want = (k * (p - 1) ** 2) % p
+    assert _matmul_mod(a, b, p).tolist() == [[want, want], [want, want]]
+    # (p-1)^2 is even, and float64 holds every even integer below 2^54,
+    # so odd terms near (p-1)^2 are what an unblocked sum would round
+    rng = random.Random(11)
+    a = [[rng.randrange(p - 64, p) for _ in range(k)] for _ in range(2)]
+    b = [[rng.randrange(p - 64, p) for _ in range(3)] for _ in range(k)]
+    got = _matmul_mod(np.array(a), np.array(b), p)
+    assert got.dtype == np.int64
+    assert got.tolist() == _py_matmul_mod(a, b, p)
+    # 1-D operands on either side
+    v = [row[0] for row in b]
+    assert _matmul_mod(np.array(a[0]), np.array(b), p).tolist() == \
+        _py_matmul_mod(a[0], b, p)
+    assert _matmul_mod(np.array(a), np.array(v), p).tolist() == \
+        _py_matmul_mod(a, v, p)
+    assert int(_matmul_mod(np.array(a[1]), np.array(v), p)) == \
+        _py_matmul_mod(a[1], v, p)
+
+
+def test_matmul_mod_batched_matches_python_ints():
+    import numpy as np
+
+    from maninforge.exact_linalg import _matmul_mod
+
+    p = 1048573
+    rng = random.Random(12)
+
+    def rand(*shape):  # entries near p, so that sums pass 2^53
+        return np.array([rng.randrange(p - 64, p)
+                         for _ in range(int(np.prod(shape)))]).reshape(shape)
+
+    a, b = rand(3, 2, 8200), rand(3, 8200, 2)
+    got = _matmul_mod(a, b, p)
+    assert got.shape == (3, 2, 2)
+    for t in range(3):
+        assert got[t].tolist() == _py_matmul_mod(a[t].tolist(),
+                                                 b[t].tolist(), p)
+    # a 2-D left operand broadcasts against a batch
+    left, batch = rand(4, 5), rand(6, 5, 7)
+    got = _matmul_mod(left, batch, p)
+    assert [g.tolist() for g in got] == [
+        _py_matmul_mod(left.tolist(), m.tolist(), p) for m in batch]
+
+
+def test_matmul_mod_refuses_primes_past_float_exactness():
+    import numpy as np
+
+    from maninforge.exact_linalg import _matmul_mod
+    from maninforge.hecke_algebra import _PIVOT_PRIME
+
+    one = np.ones((2, 2), dtype=np.int64)
+    with pytest.raises(ValueError):
+        _matmul_mod(one, one, _PIVOT_PRIME)
+    # the largest modulus with (m-1)^2 below 2^53 is still exact
+    m = 94906266
+    assert (m - 1) ** 2 < 1 << 53 <= m ** 2
+    a = np.full((1, 1), m - 1, dtype=np.int64)
+    assert _matmul_mod(a, a, m).tolist() == [[(m - 1) ** 2 % m]]
+    with pytest.raises(ValueError):
+        _matmul_mod(a, a, m + 1)
+
+
+def _walk_max_abs(m):
+    return max((abs(x) for row in m.data for x in row), default=0)
+
+
+@pytest.mark.parametrize("a_rows, b_rows", [
+    # int64 path: the bound 2 * 2^30 * 2^30 is below 2^62
+    ([[-(2**30), 1], [3, -4]], [[2**30, 0], [0, -1]]),
+    # object path: entries past any machine word, negative extremes
+    ([[-(2**70), 5], [7, 2**69]], [[-(2**65), 1], [0, -(2**66)]]),
+])
+def test_max_abs_after_products_matches_walk(a_rows, b_rows):
+    a, b = IntMatrix.from_rows(a_rows), IntMatrix.from_rows(b_rows)
+    for m in (a, b, a * b, b * a, a * a):
+        assert m.max_abs() == _walk_max_abs(m)
+    assert (a * b).max_abs() >= 2**60
+
+
+def test_max_abs_of_empty_products_is_zero():
+    for m in (IntMatrix.zeros(0, 3) * IntMatrix.zeros(3, 2),
+              IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3),
+              IntMatrix.zeros(3, 0), IntMatrix.zeros(0, 3)):
+        assert m.max_abs() == 0 == _walk_max_abs(m)
+        assert m.is_zero()
+    assert (IntMatrix.zeros(2, 0) * IntMatrix.zeros(0, 3)) == \
+        IntMatrix.zeros(2, 3)
+
+
+def test_cached_bound_keeps_pickle_and_text_roundtrips_equal():
+    import pickle
+
+    m = IntMatrix.from_rows([[-(2**63), 3], [2**20, -1]])
+    prod = m * IntMatrix.identity(2)
+    assert prod.max_abs() == 2**63  # cached on one copy only
+    for copy in (pickle.loads(pickle.dumps(prod)),
+                 IntMatrix.from_text(prod.to_text())):
+        assert copy == prod and hash(copy) == hash(prod)
+        assert copy.max_abs() == prod.max_abs()
+    with pytest.raises(AttributeError):
+        prod._max_abs = 0

@@ -230,7 +230,7 @@ def test_big_algebra_build_matches_default():
 def test_structure_constants_match_matrix_products(n):
     import random
 
-    from maninforge.hecke_algebra import _fp_rank, _ModPAlgebra
+    from maninforge.hecke_algebra import _PIVOT_PRIME, _fp_rank, _ModPAlgebra
 
     sp = build_space(n)
     alg = build_hecke_algebra(sp)
@@ -242,7 +242,8 @@ def test_structure_constants_match_matrix_products(n):
     rings = [alg] + [order_of(alg, cls) for cls in decompose_new(sp, alg)]
     rng = random.Random(n)
     for ring in rings:
-        mod_p = {p: _ModPAlgebra(ring, p) for p in (2, 3, 5)}
+        # _PIVOT_PRIME is past exact float64 products: Python-int path
+        mod_p = {p: _ModPAlgebra(ring, p) for p in (2, 3, 5, _PIVOT_PRIME)}
         for _ in range(20):
             x = [rng.randint(-40, 40) for _ in range(ring.rank)]
             y = [rng.randint(-40, 40) for _ in range(ring.rank)]
@@ -252,3 +253,22 @@ def test_structure_constants_match_matrix_products(n):
             assert ring.mult_coords(x, y) == want
             for p, alg_p in mod_p.items():
                 assert alg_p.mul(x, y) == tuple(c % p for c in want)
+
+
+def test_closure_tripwire_catches_a_corrupted_basis_row():
+    from maninforge.hecke_algebra import _BIG_GENUS, _closure_tripwire_big
+
+    # 204 is the smallest level of genus >= _BIG_GENUS, the first that
+    # build_hecke_algebra sends through _build_algebra_big
+    sp = build_space(204)
+    assert sp.cuspidal_rank >= 2 * _BIG_GENUS
+    alg = build_hecke_algebra(sp)
+    r = sp.cuspidal_rank
+    b_rows = [[x for row in m.data for x in row] for m in alg.basis_mats]
+    pivots = alg._solver.pivot_cols
+    pos = [divmod(c, r) for c in pivots]
+    _closure_tripwire_big(alg, alg.gens, b_rows, pos)  # clean: passes
+    col = next(c for c in range(r * r) if c not in set(pivots))
+    b_rows[alg.rank // 2][col] += 1
+    with pytest.raises(ValueError, match="closure verification failed"):
+        _closure_tripwire_big(alg, alg.gens, b_rows, pos)
