@@ -16,7 +16,7 @@ from math import gcd
 import click
 
 from .exact_linalg import IntMatrix
-from .modsym import OperatorMatrix, build_space, is_squarefree
+from .modsym import OperatorMatrix, build_space, factorize, is_squarefree
 from . import invariants as inv
 
 CACHE_VERSION = 1
@@ -101,13 +101,13 @@ def _save_op_cache(space, root):
 
 def _euler_phi(n):
     r = n
-    for p in inv._factorize(n):
+    for p in factorize(n):
         r = r // p * (p - 1)
     return r
 
 
 def _cuspidal_rank_estimate(n):
-    fac = inv._factorize(n)
+    fac = factorize(n)
     psi = n
     for p in fac:
         psi = psi // p * (p + 1)
@@ -143,6 +143,18 @@ def _gate_long_running(n, long_running):
             err=True,
         )
         sys.exit(EXIT_REFUSED)
+
+
+def _parse_prime(entry):
+    """The prime written as `entry`, or exit refused naming the entry."""
+    try:
+        p = int(entry)
+    except ValueError:
+        p = None
+    if p is None or factorize(p) != {p: 1}:
+        click.echo(f"--primes entry {entry!r} is not a prime; refused", err=True)
+        sys.exit(EXIT_REFUSED)
+    return p
 
 
 def _require_squarefree(n):
@@ -238,7 +250,7 @@ def cmd_invariants(ctx, n, as_json, class_index, primes, long_running):
     _gate_long_running(n, long_running)
     prime_list = None
     if primes:
-        prime_list = sorted({int(p) for p in primes.split(",")})
+        prime_list = sorted({_parse_prime(p) for p in primes.split(",")})
     space = _cached_space(ctx.obj["cache"], n)
     try:
         reports = inv.deg_cong_report(n, primes=prime_list,

@@ -21,7 +21,7 @@ import logging
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from math import gcd, isqrt
 
 import numpy as np
@@ -40,7 +40,7 @@ from .exact_linalg import (
     quotient_invariants,
     restrict_operator,
 )
-from .modsym import hecke, new_lattice
+from .modsym import factorize, hecke, new_lattice
 from .polyarith import (
     FpPoly,
     charpoly_int,
@@ -91,16 +91,8 @@ def primes_upto(bound):
 def sturm_bound(n):
     """Weight-2 Sturm bound ceil(mu / 6), mu the index of Gamma_0(n)."""
     mu = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            mu = mu // p * (p + 1)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        mu = mu // m * (m + 1)
+    for p in factorize(n):
+        mu = mu // p * (p + 1)
     return -(-mu // 6)
 
 
@@ -220,13 +212,14 @@ class _BasisRing:
         coords = self._solver.solve(row)
         if coords is None:
             return None
-        if verify and not self._verify_coords(coords, row, mat):
+        if verify and not self._combines_to(
+                [coords], _ModReducer(row, (1, len(row))).mod, mat.max_abs()):
             return None
         return coords
 
     @cached_property
     def _fast_rows(self):
-        """(int64 basis rows or None, largest basis entry, residues).
+        """(largest basis entry, residues).
 
         residues(p) is the basis modulo a word prime p as a (rank, dim_s^2)
         array: the one residue source for the basis, kept per prime up to
@@ -235,11 +228,9 @@ class _BasisRing:
         bmax = max((m.max_abs() for m in self.basis_mats), default=0)
         shape = (self.rank, self.dim_s * self.dim_s)
         if 0 < bmax < 2**62:
-            arr = np.array([m.data for m in self.basis_mats],
-                           dtype=np.int64).reshape(shape)
-            reduce = partial(np.mod, arr)
+            reduce = partial(np.mod, np.array(
+                [m.data for m in self.basis_mats], dtype=np.int64).reshape(shape))
         else:
-            arr = None
             reduce = _ModReducer([x for m in self.basis_mats
                                   for r in m.data for x in r], shape).mod
         cache = {}
@@ -252,33 +243,28 @@ class _BasisRing:
                     cache[p] = rp
             return rp
 
-        return arr, bmax, residues
+        return bmax, residues
 
-    def _verify_coords(self, coords, row, mat):
-        """Exact check that sum coords_i * basis_i reproduces the matrix."""
-        arr, bmax, residues = self._fast_rows
-        cmax = max((abs(int(c)) for c in coords), default=0)
-        tmax = mat.max_abs()
-        # int64 path is exact when no intermediate can overflow
-        if (arr is not None and tmax < 2**62
-                and self.rank * cmax * bmax < 2**62):
-            got = np.array([int(c) for c in coords], dtype=np.int64) @ arr
-            want = np.array(row, dtype=np.int64)
-            return bool(np.array_equal(got, want))
-        if arr is not None and tmax < 2**62:
-            # multimodular check: congruence modulo enough primes pins the
-            # (bounded) difference down to zero exactly
-            need = 2 * (self.rank * cmax * bmax + tmax) + 1
-            want = np.array(row, dtype=np.int64)
-            modulus = 1
-            for p in _word_primes():
-                zp = np.array([int(c) % p for c in coords], dtype=np.int64)
-                if np.any(_matmul_mod(zp, residues(p), p) != want % p):
-                    return False
-                modulus *= p
-                if modulus >= need:
-                    return True
-        return self.matrix_of(coords) == mat
+    def _combines_to(self, zs, targets, tmax):
+        """Exact check that each row of zs, as basis coordinates, gives the
+        matching target row.
+
+        targets(p) gives the target rows modulo p, and tmax bounds their
+        entries.  An entry of the difference is at most rank * max|z| *
+        max|basis| + tmax in size, so agreement modulo word primes whose
+        product exceeds twice that bound is equality.
+        """
+        bmax, residues = self._fast_rows
+        cmax = max((abs(int(c)) for z in zs for c in z), default=0)
+        need = 2 * (self.rank * cmax * bmax + tmax) + 1
+        modulus = 1
+        for p in _word_primes():
+            zp = np.array([[int(c) % p for c in z] for z in zs], dtype=np.int64)
+            if np.any(_matmul_mod(zp, residues(p), p) != targets(p)):
+                return False
+            modulus *= p
+            if modulus >= need:
+                return True
 
     def matrix_of(self, coords):
         return _combination(coords, self.basis_mats, self.dim_s)
@@ -357,109 +343,126 @@ class HeckeAlgebra(_BasisRing):
         return self.space.cuspidal_rank
 
 
-_FOLD_CAP = 200  # max pending products before folding into the HNF basis
-_BIG_GENUS = 30  # genus threshold for the modular (large-level) build
-
-
 def build_hecke_algebra(space):
-    """Build T = Z-span of the T_l / U_l, closed under multiplication."""
+    """Build T, the Z-span of the Hecke operators T_1..T_B on S.
+
+    B is the Sturm bound, and T_1..T_B span T as a Z-module (Sturm's
+    theorem; Stein, Modular Forms: A Computational Approach, ch. 9), so the
+    span needs no closure under products.  Its basis is found by modular
+    steps, each backed by an exact certificate:
+      * D = |det| of a projected independent generator subset R certifies
+        the rank and that the pivot projection is injective on span_Q(R);
+      * hnf_with_modulus certifies H = HNF of the projected generator
+        lattice (D is a multiple of its determinant since span(R) is a
+        full-rank sublattice);
+      * proj(B) == H plus integer coordinates for every generator force
+        span_Q(B) = span_Q(R) (both have dimension = rank) and then
+        span_Z(B) = the generator lattice exactly (_certify_generators);
+      * exact basis x seed products are a tripwire (_check_closure).
+    """
+    from .exact_linalg import det, hnf_with_modulus
+
     n = space.n
     r = space.cuspidal_rank
     if r == 0:
         return HeckeAlgebra(n, space, {}, (), 0)
-    if r >= 2 * _BIG_GENUS:
-        return _build_algebra_big(space)
     bound = sturm_bound(n)
-    seeds = {}
-    prime_ops = {}
-    for ell in primes_upto(bound):
-        op = hecke(space, ell)
-        seeds[op.name] = op.matrix
-        prime_ops[ell] = op.matrix
-    for q in primes_upto(n):
-        if n % q == 0:
-            op = hecke(space, q)
-            seeds.setdefault(op.name, op.matrix)
-            prime_ops.setdefault(q, op.matrix)
-    # module generators: T_m for m <= Sturm bound via the Hecke recurrences
-    # (T_{p^k} = T_p T_{p^{k-1}} - p T_{p^{k-2}} for p coprime to n,
-    #  U_{p^k} = U_p^k for p | n, multiplicative across coprime factors).
-    # These span T as a Z-module; the closure sweep below re-verifies that.
-    tn = {1: IntMatrix.identity(r)}
-
-    def t_of(m):
-        if m in tn:
-            return tn[m]
-        p = next(q for q in primes_upto(m) if m % q == 0)
-        k, rest = 0, m
-        while rest % p == 0:
-            rest //= p
-            k += 1
-        if rest > 1:
-            val = t_of(p**k) * t_of(rest)
-        elif k == 1:
-            val = prime_ops[p]
-        elif n % p == 0:
-            val = prime_ops[p] * t_of(p ** (k - 1))
-        else:
-            val = (prime_ops[p] * t_of(p ** (k - 1))
-                   + t_of(p ** (k - 2)).scale(-p))
-        tn[m] = val
-        return val
-
-    gen_list = [t_of(m) for m in range(1, bound + 1)]
-    tn = None
-
-    def vec(m):
-        return [x for row in m.data for x in row]
-
-    from .exact_linalg import _hnf_rows
-
-    def fold(mats):
-        """HNF basis of the Z-span of `mats`, packaged as an algebra."""
-        rows = [vec(m) for m in mats]
-        arr = np.array([[x % _PIVOT_PRIME for x in row] for row in rows],
-                       dtype=np.int64)
-        pivots, rank = _pivot_columns(arr)
-        proj = [[row[j] for j in pivots] for row in rows]
-        _h, r_exact, u = _hnf_rows(proj, transform=True, ncols=len(pivots))
-        if r_exact != rank:
-            raise ValueError("pivot-column rank disagrees with exact rank")
-        # basis rows from the HNF transform over the pivot block
-        basis_mats = _combine_rows(u[:rank], mats, rows, r)
-        alg = HeckeAlgebra(n, space, dict(seeds), tuple(basis_mats), rank)
-        alg._solver = _PivotSolver([vec(m) for m in basis_mats], pivots)
-        return alg
-
-    algebra = fold(gen_list)
-    while True:
-        # close under multiplication by the generators; fold newly found
-        # elements into the lattice in small batches so memory stays
-        # bounded by ~(rank + _FOLD_CAP) matrices rather than one batch
-        # per full sweep (rank * #generators products at large levels)
-        sweep_basis = list(algebra.basis_mats)
-        extra = []
-        grew = False
-        for b in sweep_basis:
-            for g in seeds.values():
-                prod = b * g
-                if algebra.coords_of(prod, verify=True) is None:
-                    extra.append(prod)
-                    grew = True
-                    if len(extra) >= _FOLD_CAP:
-                        algebra = fold(list(algebra.basis_mats) + extra)
-                        extra = []
-        if extra:
-            algebra = fold(list(algebra.basis_mats) + extra)
-        if not grew:
-            break
-    _verify_closure(algebra)
+    ops = {ell: hecke(space, ell) for ell in
+           primes_upto(bound) + [q for q in factorize(n) if q > bound]}
+    prime_ops = {ell: op.matrix for ell, op in ops.items()}
+    seeds = {op.name: op.matrix for op in ops.values()}
+    n2 = r * r
+    p0 = _PIVOT_PRIME
+    # pass 1: mod-p vectorized rows -> pivot columns, and the first
+    # independent generator subset `sel` (the pivot rows of the projection)
+    arr = np.empty((bound, n2), dtype=np.int64)
+    for idx, (_m, mat) in enumerate(
+            _module_generators(space, prime_ops, bound)):
+        arr[idx] = np.array(mat.data, dtype=np.int64).reshape(-1)
+    arr %= p0
+    _logger.debug("algebra build: %d generators vectorized", bound)
+    pivots, rank = _pivot_columns(arr)
+    sel, sel_rank = _pivot_columns(arr[:, pivots].T)
+    del arr
+    if sel_rank != rank:
+        raise ValueError("generator subset selection lost rank")
+    # pass 2: exact projected rows for all generators, full rows for sel
+    pos = [(c // r, c % r) for c in pivots]
+    proj_rows = []
+    sel_set = set(sel)
+    r_rows = np.empty((rank, n2), dtype=np.int64)
+    si = 0
+    for idx, (_m, mat) in enumerate(
+            _module_generators(space, prime_ops, bound)):
+        d = mat.data
+        proj_rows.append([d[a][b] for a, b in pos])
+        if idx in sel_set:
+            r_rows[si] = np.array(d, dtype=np.int64).reshape(-1)
+            si += 1
+    r_proj_rows = [proj_rows[i] for i in sel]
+    _logger.debug("algebra build: rank %d, computing projected determinant", rank)
+    big_d = abs(det(IntMatrix.from_rows(r_proj_rows, rank)))
+    if big_d == 0:
+        raise ValueError("projected generator subset is singular")
+    _logger.debug("algebra build: det has %d digits, reducing HNF", len(str(big_d)))
+    h_rows = hnf_with_modulus(proj_rows, rank, big_d)
+    # reconstruct the (small) canonical basis B = H * R_proj^-1 * R by CRT
+    # over small primes; correctness is certified afterwards, so the prime
+    # budget only affects how often we have to retry
+    prime_gen = _word_primes()
+    x_parts = []  # (p, xp) with xp = H * R_proj^-1 mod p; full-width rows
+    # are reconstructed from these in column chunks to bound memory
+    modulus = 1
+    target_bits = 100
+    algebra = None
+    chunk = max(1, (1 << 22) // max(1, rank))
+    for _attempt in range(6):
+        while modulus.bit_length() < target_bits:
+            p = next(prime_gen)
+            rproj_p = np.array(
+                [[x % p for x in row] for row in r_proj_rows],
+                dtype=np.int64)
+            inv_p = _inv_mod_p(rproj_p, p)
+            if inv_p is None:
+                continue
+            hp = np.array([[x % p for x in row] for row in h_rows],
+                          dtype=np.int64)
+            x_parts.append((p, _matmul_mod(hp, inv_p, p)))
+            modulus *= p
+        _logger.debug("algebra build: HNF done, reconstructing basis (%d bits)", target_bits)
+        b_rows = [[] for _ in range(rank)]
+        for lo in range(0, n2, chunk):
+            cols = _crt_rows(
+                [(p, _matmul_mod(xp, np.mod(r_rows[:, lo:lo + chunk], p), p))
+                 for p, xp in x_parts],
+                modulus)
+            for bi, ci in zip(b_rows, cols):
+                bi.extend(ci)
+        if all(b_rows[i][pivots[j]] == h_rows[i][j]
+               for i in range(rank) for j in range(rank)):
+            basis_mats = tuple(
+                IntMatrix(r, r, [row[t * r:(t + 1) * r] for t in range(r)])
+                for row in b_rows)
+            cand = HeckeAlgebra(n, space, seeds, basis_mats, rank)
+            cand._solver = _PivotSolver(b_rows, pivots)
+            _logger.debug("algebra build: certifying generators")
+            if _certify_generators(cand, space, prime_ops, bound):
+                algebra = cand
+                break
+        target_bits *= 2
+    del r_rows, b_rows
+    if algebra is None:
+        raise ValueError("basis reconstruction failed to certify")
+    _logger.debug("algebra build: basis certified, closure tripwire")
+    _check_closure(algebra, seeds)
     return algebra
 
 
 def _module_generators(space, prime_ops, bound):
     """Yield (m, T_m) for 1 <= m <= bound via the Hecke recurrences.
 
+    T_{p^k} = T_p T_{p^{k-1}} - p T_{p^{k-2}} for p prime to n,
+    U_{p^k} = U_p^k for p | n, multiplicative across coprime factors.
     Composites are rebuilt from memoized prime powers on each pass, so peak
     memory stays at the prime operators plus a handful of prime powers.
     """
@@ -480,20 +483,9 @@ def _module_generators(space, prime_ops, bound):
         return lst[k - 1]
 
     for m in range(1, bound + 1):
-        mm = m
         val = None
-        p = 2
-        while p * p <= mm:
-            if mm % p == 0:
-                k = 0
-                while mm % p == 0:
-                    mm //= p
-                    k += 1
-                t = t_pk(p, k)
-                val = t if val is None else val * t
-            p += 1
-        if mm > 1:
-            t = t_pk(mm, 1)
+        for p, k in factorize(m).items():
+            t = t_pk(p, k)
             val = t if val is None else val * t
         yield m, (val if val is not None else ident)
 
@@ -535,238 +527,79 @@ def _crt_rows(parts, modulus):
     return res
 
 
-def _build_algebra_big(space):
-    """Build T at large genus without naive HNF on the huge vectorized rows.
+def _certify_generators(cand, space, prime_ops, bound):
+    """Exact proof that every generator T_1..T_B lies in span_Z(B).
 
-    The modular steps are all backed by exact certificates:
-      * D = |det| of a projected independent generator subset R certifies
-        the rank and that the pivot projection is injective on span_Q(R);
-      * hnf_with_modulus certifies H = HNF of the projected generator
-        lattice (D is a multiple of its determinant since span(R) is a
-        full-rank sublattice);
-      * proj(B) == H plus integer coordinates for every generator force
-        span_Q(B) = span_Q(R) (both have dimension = rank) and then
-        span_Z(B) = the generator lattice exactly;
-      * a full basis x seeds product sweep proves multiplicative closure
-        (every T_m is a polynomial in the seeds by construction).
-    """
-    from .exact_linalg import det, hnf_with_modulus
-
-    n = space.n
-    r = space.cuspidal_rank
-    bound = sturm_bound(n)
-    seeds = {}
-    prime_ops = {}
-    for ell in primes_upto(bound):
-        op = hecke(space, ell)
-        seeds[op.name] = op.matrix
-        prime_ops[ell] = op.matrix
-    for q in primes_upto(n):
-        if n % q == 0:
-            op = hecke(space, q)
-            seeds.setdefault(op.name, op.matrix)
-            prime_ops.setdefault(q, op.matrix)
-    n2 = r * r
-    p0 = _PIVOT_PRIME
-    # pass 1: mod-p vectorized rows -> pivot columns and an independent
-    # generator subset (tracked sequentially so `sel` is reproducible)
-    arr = np.empty((bound, n2), dtype=np.int64)
-    for idx, (_m, mat) in enumerate(
-            _module_generators(space, prime_ops, bound)):
-        arr[idx] = np.array(mat.data, dtype=np.int64).reshape(-1)
-    arr %= p0
-    _logger.debug("big build: %d generators vectorized", bound)
-    pivots, rank = _pivot_columns(arr)
-    projp = arr[:, pivots]
-    sel = []
-    ech = []
-    for i in range(bound):
-        v = projp[i].copy()
-        for bv, pos in ech:
-            c = int(v[pos])
-            if c:
-                c = c * pow(int(bv[pos]), p0 - 2, p0) % p0
-                v = (v - c * bv) % p0
-        nz = np.nonzero(v)[0]
-        if len(nz):
-            ech.append((v, int(nz[0])))
-            sel.append(i)
-            if len(sel) == rank:
-                break
-    del arr, projp, ech
-    if len(sel) != rank:
-        raise ValueError("generator subset selection lost rank")
-    # pass 2: exact projected rows for all generators, full rows for sel
-    pos = [(c // r, c % r) for c in pivots]
-    proj_rows = []
-    sel_set = set(sel)
-    r_rows = np.empty((rank, n2), dtype=np.int64)
-    si = 0
-    for idx, (_m, mat) in enumerate(
-            _module_generators(space, prime_ops, bound)):
-        d = mat.data
-        proj_rows.append([d[a][b] for a, b in pos])
-        if idx in sel_set:
-            r_rows[si] = np.array(d, dtype=np.int64).reshape(-1)
-            si += 1
-    r_proj_rows = [proj_rows[i] for i in sel]
-    _logger.debug("big build: rank %d, computing projected determinant", rank)
-    big_d = abs(det(IntMatrix.from_rows(r_proj_rows, rank)))
-    if big_d == 0:
-        raise ValueError("projected generator subset is singular")
-    _logger.debug("big build: det has %d digits, reducing HNF", len(str(big_d)))
-    h_rows = hnf_with_modulus(proj_rows, rank, big_d)
-    # reconstruct the (small) canonical basis B = H * R_proj^-1 * R by CRT
-    # over small primes; correctness is certified afterwards, so the prime
-    # budget only affects how often we have to retry
-    prime_gen = _word_primes()
-    x_parts = []  # (p, xp) with xp = H * R_proj^-1 mod p; full-width rows
-    # are reconstructed from these in column chunks to bound memory
-    modulus = 1
-    target_bits = 100
-    algebra = None
-    chunk = max(1, (1 << 22) // max(1, rank))
-    for _attempt in range(6):
-        while modulus.bit_length() < target_bits:
-            p = next(prime_gen)
-            rproj_p = np.array(
-                [[x % p for x in row] for row in r_proj_rows],
-                dtype=np.int64)
-            inv_p = _inv_mod_p(rproj_p, p)
-            if inv_p is None:
-                continue
-            hp = np.array([[x % p for x in row] for row in h_rows],
-                          dtype=np.int64)
-            x_parts.append((p, _matmul_mod(hp, inv_p, p)))
-            modulus *= p
-        _logger.debug("big build: HNF done, reconstructing basis (%d bits)", target_bits)
-        b_rows = [[] for _ in range(rank)]
-        for lo in range(0, n2, chunk):
-            cols = _crt_rows(
-                [(p, _matmul_mod(xp, np.mod(r_rows[:, lo:lo + chunk], p), p))
-                 for p, xp in x_parts],
-                modulus)
-            for bi, ci in zip(b_rows, cols):
-                bi.extend(ci)
-        if all(b_rows[i][pivots[j]] == h_rows[i][j]
-               for i in range(rank) for j in range(rank)):
-            basis_mats = tuple(
-                IntMatrix(r, r, [row[t * r:(t + 1) * r] for t in range(r)])
-                for row in b_rows)
-            cand = HeckeAlgebra(n, space, dict(seeds), basis_mats, rank)
-            cand._solver = _PivotSolver(b_rows, pivots)
-            _logger.debug("big build: certifying generators")
-            if _certify_generators_big(cand, space, prime_ops, bound, r):
-                algebra = cand
-                break
-        target_bits *= 2
-    del r_rows
-    if algebra is None:
-        raise ValueError("basis reconstruction failed to certify")
-    _logger.debug("big build: basis certified, closure tripwire")
-    _closure_tripwire_big(algebra, seeds, b_rows, pos)
-    _logger.debug("big build: done")
-    return algebra
-
-
-def _certify_generators_big(cand, space, prime_ops, bound, r):
-    """Exact proof that every generator (and the identity) lies in span_Z(B).
-
-    Integer coordinates are solved through the pivot columns; the full
-    congruence z_g * B == g is then checked for all generators at once
-    modulo primes whose product exceeds twice the a-priori entry bound,
-    which pins it down exactly.  Together with proj(B) == H this forces
+    Integer coordinates are solved through the pivot columns, and
+    z_g * B == g is then proven for all generators at once
+    (_BasisRing._combines_to).  Together with proj(B) == H this forces
     span_Z(B) to equal the generator lattice: the generator span_Q sits
     inside span_Q(B) with equal dimension, so B lies in the generator
     span_Q, and the projection isomorphism then identifies span_Z(B) with
-    the HNF of the projected generator lattice.
+    the HNF of the projected generator lattice.  T_1 is the identity, so
+    the unit is among the generators.
     """
-    n2 = r * r
-    rank = cand.rank
-    gen_rows = np.empty((bound + 1, n2), dtype=np.int64)
+    gen_rows = np.empty((bound, space.cuspidal_rank ** 2), dtype=np.int64)
     zs = []
-    count = 0
-    for _m, mat in _module_generators(space, prime_ops, bound):
+    for idx, (_m, mat) in enumerate(
+            _module_generators(space, prime_ops, bound)):
         row = [x for rr in mat.data for x in rr]
         z = cand._solver.solve(row)
         if z is None:
             return False
-        gen_rows[count] = row
+        gen_rows[idx] = row
         zs.append(z)
-        count += 1
-    ident = [x for rr in IntMatrix.identity(r).data for x in rr]
-    z = cand._solver.solve(ident)
-    if z is None:
-        return False
-    gen_rows[count] = ident
-    zs.append(z)
-    count += 1
-    gen_rows = gen_rows[:count]
-    _arr, bmax, residues = cand._fast_rows
-    cmax = max((abs(c) for z in zs for c in z), default=0)
-    tmax = int(np.abs(gen_rows).max()) if count else 0
-    need = 2 * (rank * cmax * bmax + tmax) + 1
-    modulus = 1
-    for p in _word_primes():
-        zp = np.array([[c % p for c in z] for z in zs], dtype=np.int64)
-        if np.any(_matmul_mod(zp, residues(p), p) != np.mod(gen_rows, p)):
-            return False
-        modulus *= p
-        if modulus >= need:
-            return True
+    return cand._combines_to(zs, partial(np.mod, gen_rows),
+                             int(np.abs(gen_rows).max()))
 
 
-_TRIPWIRE_CHUNK = 16  # pairs per batched product: bounds the working set
+_CLOSURE_PAIRS = 120  # basis x seed products checked, all of them up to this
+_CLOSURE_CHUNK = 16  # pairs per batched product: bounds the working set
 
 
-def _closure_tripwire_big(algebra, seeds, b_rows, pos):
-    """Spot-check multiplicative closure at large rank.
+def _check_closure(algebra, seeds):
+    """Exact check of basis x seed products, all of them up to
+    _CLOSURE_PAIRS and a fixed sample of that many beyond.
 
-    Closure of the span holds by construction (every T_m is a polynomial
-    in the seeds), so this is a tripwire against implementation bugs:
-    coordinates of sampled basis-times-seed products are solved exactly
-    through the pivot columns, and the remaining columns, z * b_rows
-    against basis_i * seed_j, are compared modulo a couple of word-sized
-    primes in batches of _TRIPWIRE_CHUNK pairs.
+    Closure itself is a theorem: T_1..T_B span T for the Sturm bound B
+    (Sturm; Stein, op. cit., ch. 9), and the generator certificate proves
+    that the basis spans exactly those.  So this is a tripwire against
+    implementation bugs.  Each checked product gets integer coordinates z
+    through the pivot columns, and z * B == basis_i * seed_j is then proven
+    exactly (_BasisRing._combines_to), _CLOSURE_CHUNK pairs at a time.
     """
-    import random
-
     rank, r = algebra.rank, algebra.dim_s
     seed_list = list(seeds.values())
     pairs = [(i, j) for i in range(rank) for j in range(len(seed_list))]
-    rng = random.Random(rank)
-    if len(pairs) > 120:
-        pairs = rng.sample(pairs, 120)
-    zs = []
-    for i, j in pairs:
-        bmat = algebra.basis_mats[i]
-        gcols = list(zip(*seed_list[j].data))
-        w = [sum(x * y for x, y in zip(bmat.data[a], gcols[c]))
-             for a, c in pos]
-        z = algebra._solver.solve_projected(w)
-        if z is None:
+    if len(pairs) > _CLOSURE_PAIRS:
+        pairs = random.Random(rank).sample(pairs, _CLOSURE_PAIRS)
+    pos = [divmod(c, r) for c in algebra._solver.pivot_cols]
+    seed_cols = [list(zip(*g.data)) for g in seed_list]
+    seed_mod = cache(_ModReducer(
+        [x for g in seed_list for row in g.data for x in row],
+        (len(seed_list), r, r)).mod)
+    bmax, residues = algebra._fast_rows
+    tmax = r * bmax * max(g.max_abs() for g in seed_list)
+    for lo in range(0, len(pairs), _CLOSURE_CHUNK):
+        chunk = pairs[lo:lo + _CLOSURE_CHUNK]
+        zs = []
+        for i, j in chunk:
+            rows, cols = algebra.basis_mats[i].data, seed_cols[j]
+            w = [sum(x * y for x, y in zip(rows[a], cols[c])) for a, c in pos]
+            z = algebra._solver.solve_projected(w)
+            if z is None:
+                raise ValueError("Hecke algebra closure verification failed")
+            zs.append(z)
+        left = [i for i, _j in chunk]
+        right = [j for _i, j in chunk]
+
+        def products(p):
+            basis_p = residues(p).reshape(rank, r, r)
+            return _matmul_mod(basis_p[left], seed_mod(p)[right],
+                               p).reshape(len(chunk), -1)
+
+        if not algebra._combines_to(zs, products, tmax):
             raise ValueError("Hecke algebra closure verification failed")
-        zs.append(z)
-    b_red = _ModReducer([x for row in b_rows for x in row], (rank, r * r))
-    g_red = _ModReducer([x for g in seed_list for row in g.data for x in row],
-                        (len(seed_list), r, r))
-    _arr, _bmax, residues = algebra._fast_rows
-    left = np.array([i for i, _j in pairs])
-    right = np.array([j for _i, j in pairs])
-    prime_gen = _word_primes()
-    for _ in range(2):
-        p = next(prime_gen)
-        bp = b_red.mod(p)
-        basis_p = residues(p).reshape(rank, r, r)
-        gp = g_red.mod(p)
-        zp = np.array([[c % p for c in z] for z in zs], dtype=np.int64)
-        for lo in range(0, len(pairs), _TRIPWIRE_CHUNK):
-            sl = slice(lo, lo + _TRIPWIRE_CHUNK)
-            want = _matmul_mod(basis_p[left[sl]], gp[right[sl]], p)
-            if np.any(_matmul_mod(zp[sl], bp, p)
-                      != want.reshape(len(want), -1)):
-                raise ValueError(
-                    "Hecke algebra closure verification failed")
 
 
 def _combine_rows(combos, mats, vec_rows, r):
@@ -783,29 +616,6 @@ def _combine_rows(combos, mats, vec_rows, r):
             for row in prod.tolist()
         ]
     return [_combination(combo, mats, r) for combo in combos]
-
-
-def _verify_closure(algebra):
-    """Check products of basis elements stay in the lattice.
-
-    Exhaustive for moderate ranks, deterministically sampled for large ones
-    (the construction closes under generator products, which already spans
-    all monomials; this is a tripwire against implementation bugs).
-    """
-    d = algebra.rank
-    if d == 0:
-        return
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    if len(pairs) > 600:
-        import random
-
-        rng = random.Random(d)
-        pairs = rng.sample(pairs, 600)
-    for i, j in pairs:
-        prod = algebra.basis_mats[i] * algebra.basis_mats[j]
-        if algebra.coords_of(prod, verify=True) is None:
-            raise ValueError("Hecke algebra closure verification failed")
-    algebra.unit_coords()  # raises when the identity is missing
 
 
 # ---------------------------------------------------------------------------

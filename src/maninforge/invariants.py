@@ -42,7 +42,7 @@ from .hecke_algebra import (
     order_of,
     u_p_unit_check,
 )
-from .modsym import build_space
+from .modsym import build_space, factorize
 
 __all__ = [
     "CongModuleReport",
@@ -58,19 +58,6 @@ __all__ = [
     "level_data",
     "report_to_json",
 ]
-
-
-def _factorize(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def _ord_p(n, p):
@@ -176,7 +163,7 @@ def _annihilator_of(algebra, sublattice):
     lb = sublattice.basis
     k, n = lb.rows, lb.cols
     lmax = lb.max_abs()
-    _arr, bmax, b_residues = algebra._fast_rows
+    bmax, b_residues = algebra._fast_rows
     ebound = n * lmax * bmax  # bound on any entry of R
     _logger.debug(
         "annihilator: d=%d k=%d n=%d lmax %d bits, bmax %d bits",
@@ -301,7 +288,7 @@ def _module_report(carrier, label, big, small):
     for f in factors:
         total *= f
     p_parts = {}
-    for p, e in _factorize(total).items():
+    for p, e in factorize(total).items():
         p_parts[p] = p**e
     return CongModuleReport(carrier, label, tuple(factors), total, p_parts)
 
@@ -325,7 +312,7 @@ def _cong_report(carrier, label, big_rank, k1, k2):
         if d == 0:
             raise ValueError("congruence module is not finite")
         total = abs(d)
-        p_parts = {p: p**e for p, e in _factorize(total).items()}
+        p_parts = {p: p**e for p, e in factorize(total).items()}
         return CongModuleReport(carrier, label, None, total, p_parts)
     return _module_report(carrier, label, IntLattice.standard(big_rank),
                           lattice_sum(k1, k2))
@@ -583,7 +570,7 @@ def deg_cong_report(n, analyze_ideals=True, primes=None, class_index=None):
             continue
         deg = isqrt(data.cong_report(cls, "S").total_order)
         cong = data.cong_report(cls, "T").total_order
-        prime_set = sorted(set(_factorize(deg)) | set(_factorize(cong)))
+        prime_set = sorted(set(factorize(deg)) | set(factorize(cong)))
         prime_entries = []
         for p in prime_set:
             od, oc = _ord_p(deg, p), _ord_p(cong, p)
@@ -649,7 +636,7 @@ def manin_certify(n):
             continue
         deg = modular_degree(data.space, cls)
         cong = cong_number(data.algebra, cls)
-        primes = sorted(set(_factorize(deg)) | set(_factorize(cong)))
+        primes = sorted(set(factorize(deg)) | set(factorize(cong)))
         verdicts = {}
         for p in primes:
             if n % (p * p) == 0:

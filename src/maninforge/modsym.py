@@ -41,6 +41,7 @@ __all__ = [
     "degeneracy_pullback",
     "new_lattice",
     "star_involution",
+    "factorize",
     "is_squarefree",
 ]
 
@@ -49,13 +50,22 @@ __all__ = [
 _CHUNK_ENTRIES = 1 << 16
 
 
-def is_squarefree(n):
+def factorize(n):
+    """{p: e} with n = prod p^e for n >= 1, primes ascending (trial division)."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % (d * d) == 0:
-            return False
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
-    return True
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def is_squarefree(n):
+    return all(e == 1 for e in factorize(n).values())
 
 
 def _lift_unit(n, d, a):
@@ -425,36 +435,6 @@ def hecke(space, ell):
     return op
 
 
-def hecke_tn(space, m):
-    """Composite Hecke operator T_m on S via the standard recurrences."""
-    if m == 1:
-        return OperatorMatrix("T_1", IntMatrix.identity(space.cuspidal.rank))
-    fac = {}
-    mm = m
-    d = 2
-    while d * d <= mm:
-        while mm % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            mm //= d
-        d += 1
-    if mm > 1:
-        fac[mm] = fac.get(mm, 0) + 1
-    result = None
-    for p, e in sorted(fac.items()):
-        tp = hecke(space, p).matrix
-        if space.n % p == 0:
-            part = tp
-            for _ in range(e - 1):
-                part = part * tp
-        else:
-            prev, cur = IntMatrix.identity(tp.rows), tp
-            for _ in range(e - 1):
-                prev, cur = cur, cur * tp - prev.scale(p)
-            part = cur
-        result = part if result is None else result * part
-    return OperatorMatrix(f"T_{m}", result)
-
-
 def _left_action_matrix(space, w):
     """Matrix on M of a left-acting integer matrix w (positive determinant).
 
@@ -607,8 +587,7 @@ def new_lattice(space):
         raise ValueError("new subspace requires squarefree level")
     r = space.cuspidal.rank
     lat = IntLattice.standard(r)
-    primes = [p for p in range(2, n) if n % p == 0 and _is_prime(p)]
-    for ell in primes:
+    for ell in factorize(n):
         if n == ell:
             continue
         for kind in ("forget", "quotient"):
@@ -616,8 +595,3 @@ def new_lattice(space):
             lat = lattice_intersect(lat, kernel_saturated(d.transpose()))
     return lat
 
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    return all(p % q for q in range(2, int(p ** 0.5) + 1))

@@ -71,6 +71,16 @@ def test_invariants_flags(runner):
     assert all(e["p"] == "3" for e in doc["classes"][0]["ideals"])
 
 
+@pytest.mark.parametrize("primes, entry", [("x", "'x'"), ("3,,5", "''"),
+                                            ("4", "'4'")])
+def test_invariants_refuses_a_bad_primes_entry(runner, primes, entry):
+    res = runner.invoke(main, ["invariants", "11", "--primes", primes])
+    assert res.exit_code == EXIT_REFUSED
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip().splitlines() == [
+        f"--primes entry {entry} is not a prime; refused"]
+
+
 def test_certify_and_scan(runner):
     res = runner.invoke(main, ["certify", "37"])
     assert res.exit_code == EXIT_OK

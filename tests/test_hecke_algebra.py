@@ -215,15 +215,25 @@ def test_poly_kernel_saturated_characterized():
             assert snf(k.basis) == (1,) * k.rank
 
 
-def test_big_algebra_build_matches_default():
-    from maninforge.hecke_algebra import _build_algebra_big
+@pytest.mark.parametrize("n", [102, 105, 110])
+def test_algebra_rank_is_genus(n):
+    from test_modsym import genus_x0
 
-    for n in [67, 89]:
-        space = build_space(n)
-        small = build_hecke_algebra(space)
-        big = _build_algebra_big(space)
-        assert big.rank == small.rank
-        assert list(big.basis_mats) == list(small.basis_mats)
+    assert build_hecke_algebra(build_space(n)).rank == genus_x0(n)
+
+
+def test_closure_is_exact_at_102():
+    # every basis x seed product, checked over Z: past 120 pairs the
+    # builder's own closure check samples
+    sp = build_space(102)
+    alg = build_hecke_algebra(sp)
+    assert alg.rank * len(alg.gens) > 120
+    for b in alg.basis_mats:
+        for g in alg.gens.values():
+            prod = b * g
+            z = alg._solver.solve([x for row in prod.data for x in row])
+            assert z is not None
+            assert alg.matrix_of(z) == prod
 
 
 @pytest.mark.parametrize("n", [46, 57])
@@ -256,19 +266,37 @@ def test_structure_constants_match_matrix_products(n):
 
 
 def test_closure_tripwire_catches_a_corrupted_basis_row():
-    from maninforge.hecke_algebra import _BIG_GENUS, _closure_tripwire_big
+    from maninforge.hecke_algebra import HeckeAlgebra, _check_closure
 
-    # 204 is the smallest level of genus >= _BIG_GENUS, the first that
-    # build_hecke_algebra sends through _build_algebra_big
-    sp = build_space(204)
-    assert sp.cuspidal_rank >= 2 * _BIG_GENUS
+    sp = build_space(46)
     alg = build_hecke_algebra(sp)
+    _check_closure(alg, alg.gens)  # clean: passes
     r = sp.cuspidal_rank
-    b_rows = [[x for row in m.data for x in row] for m in alg.basis_mats]
-    pivots = alg._solver.pivot_cols
-    pos = [divmod(c, r) for c in pivots]
-    _closure_tripwire_big(alg, alg.gens, b_rows, pos)  # clean: passes
-    col = next(c for c in range(r * r) if c not in set(pivots))
-    b_rows[alg.rank // 2][col] += 1
+    # an entry in a row that holds no pivot column: every product still
+    # solves through the (untouched) pivot entries, so only the exact
+    # comparison can catch it
+    pivot_rows = {c // r for c in alg._solver.pivot_cols}
+    a = next(i for i in range(r) if i not in pivot_rows)
+    mats = list(alg.basis_mats)
+    data = [list(row) for row in mats[-1].data]
+    data[a][0] += 1
+    mats[-1] = IntMatrix(r, r, data)
+    bad = HeckeAlgebra(alg.level, sp, alg.gens, tuple(mats), alg.rank,
+                       alg._solver)
     with pytest.raises(ValueError, match="closure verification failed"):
-        _closure_tripwire_big(alg, alg.gens, b_rows, pos)
+        _check_closure(bad, alg.gens)
+
+
+def test_span_check_uses_enough_primes():
+    from maninforge.exact_linalg import _ModReducer, _word_primes
+
+    alg = build_hecke_algebra(build_space(46))
+    unit = alg.unit_coords()
+    primes = _word_primes()
+    m = next(primes) * next(primes)
+    ident = [x for row in IntMatrix.identity(alg.dim_s).data for x in row]
+    assert alg._combines_to([unit], _ModReducer(ident, (1, len(ident))).mod, 1)
+    # off by the product of the first two primes: only a third one sees it
+    ident[1] += m
+    assert not alg._combines_to(
+        [unit], _ModReducer(ident, (1, len(ident))).mod, m)

@@ -20,8 +20,8 @@ from maninforge.modsym import (
     build_space,
     degeneracy,
     degeneracy_pullback,
+    factorize,
     hecke,
-    hecke_tn,
     is_squarefree,
     new_lattice,
     p1_list,
@@ -205,12 +205,18 @@ def test_hecke_eigenvalues_genus_one(n):
         assert cp.coeffs == (a[ell] * a[ell], -2 * a[ell], 1), (n, ell)
 
 
-def test_hecke_tn_multiplicativity():
-    sp = build_space(11)
-    a = eta_product(ETA_NEWFORMS[11], 12)
-    for m in [4, 6, 9, 12]:
-        t = hecke_tn(sp, m).matrix
-        assert charpoly_int(t).coeffs == (a[m] * a[m], -2 * a[m], 1), m
+@pytest.mark.parametrize("n", [11, 14, 15])
+def test_module_generators_match_eta_coefficients(n):
+    # T_m from the Hecke recurrences, U_p powers at p | n included
+    from maninforge.hecke_algebra import _module_generators
+
+    sp = build_space(n)
+    a = eta_product(ETA_NEWFORMS[n], 12)
+    prime_ops = {p: hecke(sp, p).matrix for p in primes_upto(12)}
+    got = list(_module_generators(sp, prime_ops, 12))
+    assert [m for m, _t in got] == list(range(1, 13))
+    for m, t in got:
+        assert charpoly_int(t).coeffs == (a[m] * a[m], -2 * a[m], 1), (n, m)
 
 
 def test_hecke_operators_commute():
@@ -372,6 +378,13 @@ def test_degeneracy_requires_squarefree():
         degeneracy(sp, 2, "forget")
     with pytest.raises(ValueError):
         new_lattice(sp)
+
+
+def test_factorize_matches_sympy():
+    assert factorize(1) == {}
+    for n in range(2, 2001):
+        assert factorize(n) == sympy.factorint(n), n
+    assert list(factorize(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
 
 
 def test_is_squarefree():
