@@ -16,7 +16,8 @@ from math import gcd
 import click
 
 from .exact_linalg import IntMatrix
-from .modsym import OperatorMatrix, build_space, factorize, is_squarefree
+from .modsym import (MR_BOUND, OperatorMatrix, build_space, factorize,
+                     is_prime, is_squarefree)
 from . import invariants as inv
 
 CACHE_VERSION = 1
@@ -151,7 +152,11 @@ def _parse_prime(entry):
         p = int(entry)
     except ValueError:
         p = None
-    if p is None or factorize(p) != {p: 1}:
+    if p is not None and p >= MR_BOUND:
+        click.echo(f"--primes entry {entry!r} is too large to test "
+                   f"(limit {MR_BOUND}); refused", err=True)
+        sys.exit(EXIT_REFUSED)
+    if p is None or not is_prime(p):
         click.echo(f"--primes entry {entry!r} is not a prime; refused", err=True)
         sys.exit(EXIT_REFUSED)
     return p

@@ -7,7 +7,8 @@ canonical row Hermite normal form, which makes equality bit-identical.
 
 import logging
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import takewhile
 from math import gcd
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "idempotent_kernel_sublattice",
     "saturate",
     "det",
+    "primes_upto",
 ]
 
 
@@ -538,14 +540,6 @@ def _det_bareiss(data):
     return sign * A[n - 1][n - 1]
 
 
-def _primes_from(start):
-    p = start
-    while True:
-        p += 1
-        if all(p % q for q in range(2, int(p ** 0.5) + 1)):
-            yield p
-
-
 def _hadamard_bound(data):
     bound = 1
     for row in data:
@@ -600,6 +594,45 @@ def _word_primes():
     raise RuntimeError("prime supply exhausted")
 
 
+def _small_primes():
+    """Primes below 2^20, ascending, from the same sieve."""
+    yield 2
+    sieve = _odd_prime_sieve()
+    i = sieve.find(1)
+    while i >= 0:
+        yield 2 * i + 1
+        i = sieve.find(1, i + 1)
+
+
+def primes_upto(bound):
+    """The primes p <= bound, ascending; bound must be below 2^20."""
+    if bound >= 1 << 20:
+        raise ValueError(f"primes_upto reads the sieve below 2^20, not {bound}")
+    return list(takewhile(lambda p: p <= bound, _small_primes()))
+
+
+def _crt_rows(parts, modulus):
+    """Symmetric-range CRT lift of per-prime int64 row arrays."""
+    res = None
+    mod = 1
+    for p, bp in parts:
+        lst = bp.tolist()
+        if res is None:
+            res, mod = lst, p
+            continue
+        _g, inv, _ = gcdex(mod % p, p)
+        for ri, si in zip(res, lst):
+            for j in range(len(ri)):
+                ri[j] += mod * ((si[j] - ri[j]) * inv % p)
+        mod *= p
+    half = modulus // 2
+    for ri in res:
+        for j in range(len(ri)):
+            if ri[j] > half:
+                ri[j] -= modulus
+    return res
+
+
 def _matmul_mod(a, b, p):
     """(a @ b) mod p for arrays of integers in [0, p), as int64.
 
@@ -627,6 +660,18 @@ def _matmul_mod(a, b, p):
         bb = b[lo:lo + block] if b.ndim == 1 else b[..., lo:lo + block, :]
         out = (out + (a[..., lo:lo + block] @ bb).astype(np.int64)) % p
     return out
+
+
+def _mod_p_product(p):
+    """(dtype, matmul): exact residue products modulo a prime p.
+
+    matmul(a, b) is (a @ b) mod p for arrays of residues held in dtype:
+    float64 through _matmul_mod when (p-1)^2 < 2^53, and Python-int object
+    arrays above, where neither float64 nor int64 holds every product.
+    """
+    if (p - 1) ** 2 < 1 << 53:
+        return np.float64, partial(_matmul_mod, p=p)
+    return object, lambda a, b: a @ b % p
 
 
 class _ModReducer:
@@ -702,27 +747,21 @@ def _det_mod_p_numpy(a, p):
 
 
 def _det_multimodular(data):
-    n = len(data)
     bound = 2 * _hadamard_bound(data) + 1
-    residue, modulus = 0, 1
     small = all(abs(x) < 2**62 for row in data for x in row)
     arr = np.array(data, dtype=np.int64) if small else None
+    parts = []
+    modulus = 1
     for p in _word_primes():
         if arr is not None:
             A = np.mod(arr, p)
         else:
             A = np.array([[x % p for x in row] for row in data], dtype=np.int64)
-        d = _det_mod_p_numpy(A, p)
-        # CRT combine
-        g, inv, _ = gcdex(modulus % p, p)
-        residue = residue + modulus * ((d - residue) * inv % p)
+        parts.append((p, np.array([[_det_mod_p_numpy(A, p)]])))
         modulus *= p
         if modulus > bound:
             break
-    residue %= modulus
-    if residue > modulus // 2:
-        residue -= modulus
-    return residue
+    return _crt_rows(parts, modulus)[0][0]
 
 
 def det(m):
@@ -954,13 +993,22 @@ def _rat_recon(r, m):
 
 
 def _rref_mod_p(a, p, pivot_order=None):
-    """Reduced row echelon form of an int64 array modulo p (p < 2^20).
+    """Reduced row echelon form of an integer matrix modulo a prime p.
 
-    Returns (reduced, pivot_cols).  With pivot_order given, pivots are
-    searched only along those columns in order; the caller must check that
-    all of them were found.
+    a is a 2-D integer array or a list of integer rows; when p < 2^31 its
+    entries must fit in int64.  Returns (reduced, pivot_cols): the rows of
+    the reduced form, the first len(pivot_cols) of which are a basis of the
+    row space with a 1 in their own pivot column and 0 in the others, and
+    the pivot columns in row order.  The work is in int64 when p < 2^31,
+    where every product of two residues is below 2^62, and in Python-int
+    object arrays above.  With pivot_order given, pivots are searched only
+    along those columns in order; the caller must check that all of them
+    were found.
     """
-    a = np.mod(np.array(a, dtype=np.int64), p)
+    if p < 1 << 31:
+        a = np.mod(np.array(a, dtype=np.int64), p)
+    else:
+        a = np.array(a, dtype=object) % p
     nrows, n = a.shape
     order = range(n) if pivot_order is None else pivot_order
     piv = []

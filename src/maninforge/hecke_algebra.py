@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
-from math import gcd, isqrt
 
 import numpy as np
 
@@ -33,10 +32,14 @@ from .exact_linalg import (
     IntMatrix,
     InvariantViolation,
     RatMatrix,
+    _crt_rows,
     _matmul_mod,
+    _mod_p_product,
     _ModReducer,
+    _rref_mod_p,
     _word_primes,
     lattice_intersect,
+    primes_upto,
     quotient_invariants,
     restrict_operator,
 )
@@ -77,17 +80,6 @@ _PIVOT_PRIME = 2147483629  # large prime for pivot-column selection
 _RESIDUE_CACHE_BYTES = 1 << 30  # budget of each ring's basis-residue cache
 
 
-def primes_upto(bound):
-    if bound < 2:
-        return []
-    sieve = [True] * (bound + 1)
-    sieve[0] = sieve[1] = False
-    for i in range(2, isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = [False] * len(sieve[i * i :: i])
-    return [i for i, ok in enumerate(sieve) if ok]
-
-
 def sturm_bound(n):
     """Weight-2 Sturm bound ceil(mu / 6), mu the index of Gamma_0(n)."""
     mu = n
@@ -119,6 +111,9 @@ class _PivotSolver:
         self.hnf = H[:r]
         self.transform = U[:r]
         self.dim = r
+        # the leading column of each HNF row
+        self.hnf_pivots = [next(j for j, x in enumerate(row) if x)
+                           for row in self.hnf]
 
     def solve(self, full_row):
         """Integer coordinates of a vector known to lie in the Q-span."""
@@ -127,13 +122,8 @@ class _PivotSolver:
     def solve_projected(self, w):
         """Like solve, but from the pivot-column entries directly."""
         d = self.dim
-        piv = []
-        for i in range(d):
-            k = next(j for j, x in enumerate(self.hnf[i]) if x)
-            piv.append(k)
         z = [0] * d
-        for i in range(d):
-            k = piv[i]
+        for i, k in enumerate(self.hnf_pivots):
             acc = w[k] - sum(z[t] * self.hnf[t][k] for t in range(i))
             q, r = divmod(acc, self.hnf[i][k])
             if r:
@@ -147,34 +137,6 @@ class _PivotSolver:
             sum(z[t] * self.transform[t][i] for t in range(d))
             for i in range(len(self.transform[0]))
         ]
-
-
-def _pivot_columns(rows_int64):
-    """Pivot columns of a row-major int64 array, computed modulo a prime."""
-    p = _PIVOT_PRIME
-    a = np.mod(rows_int64, p).astype(np.int64)
-    nrows, ncols = a.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if len(nz) == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        mask = np.nonzero(a[:, c])[0]
-        mask = mask[mask != r]
-        if len(mask):
-            a[mask] = (a[mask] - np.outer(a[mask, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return pivots, r
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +343,11 @@ def build_hecke_algebra(space):
         arr[idx] = np.array(mat.data, dtype=np.int64).reshape(-1)
     arr %= p0
     _logger.debug("algebra build: %d generators vectorized", bound)
-    pivots, rank = _pivot_columns(arr)
-    sel, sel_rank = _pivot_columns(arr[:, pivots].T)
-    del arr
-    if sel_rank != rank:
+    _red, pivots = _rref_mod_p(arr, p0)
+    rank = len(pivots)
+    _red, sel = _rref_mod_p(arr[:, pivots].T, p0)
+    del arr, _red
+    if len(sel) != rank:
         raise ValueError("generator subset selection lost rank")
     # pass 2: exact projected rows for all generators, full rows for sel
     pos = [(c // r, c % r) for c in pivots]
@@ -492,8 +455,6 @@ def _module_generators(space, prime_ops, bound):
 
 def _inv_mod_p(a, p):
     """Inverse of a square int64 matrix modulo p, or None if singular."""
-    from .exact_linalg import _rref_mod_p
-
     n = a.shape[0]
     aug = np.concatenate(
         [np.mod(a, p), np.eye(n, dtype=np.int64)], axis=1)
@@ -501,30 +462,6 @@ def _inv_mod_p(a, p):
     if piv != list(range(n)):
         return None
     return red[:, n:]
-
-
-def _crt_rows(parts, modulus):
-    """Symmetric-range CRT lift of per-prime int64 row arrays."""
-    from .exact_linalg import gcdex
-
-    res = None
-    mod = 1
-    for p, bp in parts:
-        lst = bp.tolist()
-        if res is None:
-            res, mod = lst, p
-            continue
-        _g, inv, _ = gcdex(mod % p, p)
-        for ri, si in zip(res, lst):
-            for j in range(len(ri)):
-                ri[j] += mod * ((si[j] - ri[j]) * inv % p)
-        mod *= p
-    half = modulus // 2
-    for ri in res:
-        for j in range(len(ri)):
-            if ri[j] > half:
-                ri[j] -= modulus
-    return res
 
 
 def _certify_generators(cand, space, prime_ops, bound):
@@ -895,10 +832,9 @@ def order_of(algebra, cls):
     """Build O_f = T / T[e_f] as matrices on S_f."""
     restricted = [restrict_operator(cls.lattice, b) for b in algebra.basis_mats]
     rows = [[x for r in m.data for x in r] for m in restricted]
-    arr = np.array(
-        [[x % _PIVOT_PRIME for x in row] for row in rows], dtype=np.int64
-    )
-    pivots, rank = _pivot_columns(arr)
+    _red, pivots = _rref_mod_p(
+        [[x % _PIVOT_PRIME for x in row] for row in rows], _PIVOT_PRIME)
+    rank = len(pivots)
     if rank != cls.dimension:
         raise ValueError("order rank does not match class dimension")
     # the restrictions are dependent (T[e_f] dies); a Z-basis of the image
@@ -933,21 +869,16 @@ class _ModPAlgebra:
         self.p = p
         self.d = ring.rank
         table, _tmax = ring._table_array
-        if (p - 1) ** 2 < 1 << 53:
-            # kept as float64, the dtype _matmul_mod computes in
-            self.table = np.mod(table, p).astype(np.float64)
-            self._matmul = partial(_matmul_mod, p=p)
-        else:  # residues too wide for exact float64 products
-            self.table = np.mod(table, p).astype(object)
-            self._matmul = lambda a, b: a @ b % p
+        self.dtype, self.matmul = _mod_p_product(p)
+        self.table = np.mod(table, p).astype(self.dtype)
         self.unit = tuple(c % p for c in ring.unit_coords())
 
     def mul(self, x, y):
-        p, d, dtype = self.p, self.d, self.table.dtype
+        p, d, dtype = self.p, self.d, self.dtype
         xv = np.array([int(c) % p for c in x], dtype=dtype)
         yv = np.array([int(c) % p for c in y], dtype=dtype)
-        xt = self._matmul(xv, self.table).reshape(d, d)
-        return tuple(self._matmul(yv, xt).tolist())
+        xt = self.matmul(xv, self.table).reshape(d, d)
+        return tuple(self.matmul(yv, xt).tolist())
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
@@ -1024,26 +955,6 @@ class MaxIdeal:
         return len(self.comp_basis)
 
 
-def _fp_row_space(vectors, p):
-    """Echelon basis of the F_p span of integer vectors."""
-    basis = []
-    for v in vectors:
-        v = [x % p for x in v]
-        for bv, pos in basis:
-            c = v[pos]
-            if c:
-                c = (c * pow(bv[pos], p - 2, p)) % p
-                v = [(a - c * b) % p for a, b in zip(v, bv)]
-        nz = next((k for k, a in enumerate(v) if a), None)
-        if nz is not None:
-            basis.append((v, nz))
-    return [bv for bv, _pos in basis]
-
-
-def _fp_rank(vectors, p):
-    return len(_fp_row_space(vectors, p))
-
-
 def maximal_ideals(ring, p):
     """Maximal ideals of residue characteristic p, via local idempotents."""
     if ring.rank == 0:
@@ -1080,57 +991,44 @@ def maximal_ideals(ring, p):
         comps = refined
     ideals = []
     for e in comps:
-        # basis of the component eA
-        comp_vecs = []
-        for i in range(ring.rank):
-            comp_vecs.append(alg.mul(e, _unit_vec(ring.rank, i)))
-        comp_basis = _fp_row_space(comp_vecs, p)
-        c = len(comp_basis)
+        # RREF basis of the component eA: the identity on its pivot columns
+        red, piv = _rref_mod_p(
+            [alg.mul(e, _unit_vec(ring.rank, i)) for i in range(ring.rank)], p)
+        c = len(piv)
+        comp = red[:c].astype(alg.dtype)
+        comp_basis = red[:c].tolist()
         # radical = kernel of iterated Frobenius on the component
         npow = 1
         pk = p
         while pk < c + 1:
             pk *= p
             npow += 1
-        frob_images = [alg.power(tuple(v), p) for v in comp_basis]
-        # iterate Frobenius npow times in coordinates of comp_basis
-        def in_comp_coords(vec):
-            v = list(vec)
-            out = [0] * c
-            for i, bv in enumerate(comp_basis):
-                pos = next(k for k, a in enumerate(bv) if a)
-                coef = (v[pos] * pow(bv[pos], p - 2, p)) % p
-                out[i] = coef
-                v = [(a - coef * b) % p for a, b in zip(v, bv)]
-            if any(v):
-                raise InvariantViolation(
-                    f"Frobenius image left its component mod {p}")
-            return out
-
-        fmat = [in_comp_coords(img) for img in frob_images]  # c x c
-        # fmat maps comp coords -> comp coords (row convention: x -> x @ fmat)
-        power = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
+        frob = np.array([alg.power(tuple(v), p) for v in comp_basis],
+                        dtype=alg.dtype)
+        # Frobenius in comp_basis coordinates, x -> x @ fmat: the
+        # coordinates of a vector of the component are its pivot entries
+        fmat = frob[:, piv]
+        if np.any(alg.matmul(fmat, comp) != frob):
+            raise InvariantViolation(
+                f"Frobenius image left its component mod {p}")
+        power = np.eye(c, dtype=alg.dtype)
         for _ in range(npow):
-            power = [
-                [sum(power[i][k] * fmat[k][j] for k in range(c)) % p for j in range(c)]
-                for i in range(c)
-            ]
-        rad_coords = _fp_nullspace_left(power, p)
-        radical_basis = [
-            tuple(
-                sum(rc[i] * comp_basis[i][k] for i in range(c)) % p
-                for k in range(ring.rank)
-            )
-            for rc in rad_coords
-        ]
+            power = alg.matmul(power, fmat)
+        # left kernel of power: the rows of the RREF of [power | I] past
+        # the pivots of power
+        red, piv = _rref_mod_p(
+            np.concatenate([power, np.eye(c, dtype=power.dtype)], axis=1), p)
+        rank = sum(1 for j in piv if j < c)
+        radical_basis = alg.matmul(red[rank:, c:].astype(alg.dtype),
+                                   comp).tolist()
         ideals.append(
             MaxIdeal(
                 parent=ring,
                 p=p,
                 idempotent=tuple(e),
                 residue_degree=c - len(radical_basis),
-                comp_basis=tuple(tuple(v) for v in comp_basis),
-                radical_basis=tuple(radical_basis),
+                comp_basis=tuple(map(tuple, comp_basis)),
+                radical_basis=tuple(map(tuple, radical_basis)),
             )
         )
     ideals.sort(key=lambda m: (m.residue_degree, m.idempotent))
@@ -1141,30 +1039,6 @@ def _fp_pow(g, e):
     out = FpPoly(g.p, (1,))
     for _ in range(e):
         out = out * g
-    return out
-
-
-def _fp_nullspace_left(mat, p):
-    """Basis of {x : x @ mat = 0} over F_p (mat as list of rows)."""
-    c = len(mat)
-    if c == 0:
-        return []
-    aug = [list(mat[i]) + [1 if j == i else 0 for j in range(c)] for i in range(c)]
-    basis = []
-    out = []
-    width = len(mat[0])
-    for v in aug:
-        w = [x % p for x in v]
-        for bv, pos in basis:
-            coef = w[pos]
-            if coef:
-                coef = (coef * pow(bv[pos], p - 2, p)) % p
-                w = [(a - coef * b) % p for a, b in zip(w, bv)]
-        nz = next((t for t, a in enumerate(w[:width]) if a), None)
-        if nz is None:
-            out.append(w[width:])
-        else:
-            basis.append((w, nz))
     return out
 
 
@@ -1194,24 +1068,20 @@ def fiber_dim(module, m):
     r = module.rank
     if r == 0:
         return 0
-    mats = [np.mod(np.array(a.data, dtype=object), p).astype(np.int64) for a in acts]
-    e_mat = np.zeros((r, r), dtype=np.int64)
-    for c, a in zip(m.idempotent, mats):
-        if c:
-            e_mat = (e_mat + c * a) % p
-    v_basis = _fp_row_space([[int(x) for x in row] for row in e_mat], p)
-    dim_v = len(v_basis)
+    # e and the radical elements act through the residues of the basis
+    # matrices, with products exact at every p (_mod_p_product)
+    dtype, matmul = _mod_p_product(p)
+    acts_p = np.array([[x % p for row in a.data for x in row] for a in acts],
+                      dtype=dtype)
+    e_mat = matmul(np.array([m.idempotent], dtype=dtype), acts_p)
+    red, piv = _rref_mod_p(e_mat.reshape(r, r), p)
+    dim_v = len(piv)
     if dim_v == 0:
         return 0
-    mv_rows = []
-    for rad in m.radical_basis:
-        rad_mat = np.zeros((r, r), dtype=np.int64)
-        for c, a in zip(rad, mats):
-            if c:
-                rad_mat = (rad_mat + c * a) % p
-        for v in v_basis:
-            mv_rows.append([int(x) for x in (np.array(v, dtype=np.int64) @ rad_mat) % p])
-    dim_mv = _fp_rank(mv_rows, p) if mv_rows else 0
+    rad_mats = matmul(np.array(m.radical_basis, dtype=dtype).reshape(
+        -1, ring.rank), acts_p).reshape(-1, r, r)
+    mv_rows = matmul(red[:dim_v].astype(dtype), rad_mats)
+    dim_mv = len(_rref_mod_p(mv_rows.reshape(-1, r), p)[1])
     total = dim_v - dim_mv
     if total % m.residue_degree:
         raise ValueError("fiber dimension not divisible by residue degree")
@@ -1231,7 +1101,7 @@ def socle_dim(algebra, m):
         for rad in m.radical_basis:
             row.extend(alg.mul(tuple(v), tuple(rad)))
         stacked.append(row)
-    kern = len(stacked) - _fp_rank(stacked, p)
+    kern = len(stacked) - len(_rref_mod_p(stacked, p)[1])
     if kern % m.residue_degree:
         raise ValueError("socle dimension not divisible by residue degree")
     return kern // m.residue_degree
@@ -1281,7 +1151,7 @@ def _u_p_unit_mod_m(algebra, m, p):
     x = alg.mul(tuple(c % m.p for c in coords), m.idempotent)
     # unit iff x is not in the radical of the local factor
     rows = [list(v) for v in m.radical_basis] + [list(x)]
-    return _fp_rank(rows, m.p) > len(m.radical_basis)
+    return len(_rref_mod_p(rows, m.p)[1]) > len(m.radical_basis)
 
 
 def _m_ideal_lattice(order, m):

@@ -21,6 +21,7 @@ from .exact_linalg import (
     IntMatrix,
     InvariantViolation,
     idempotent_kernel_sublattice,
+    _rref_mod_p,
     kernel_saturated,
     lattice_sum,
     quotient_invariants,
@@ -30,7 +31,6 @@ from .exact_linalg import (
 from .hecke_algebra import (
     _ModPAlgebra,
     _exact_quotient,
-    _fp_rank,
     _unit_vec,
     build_hecke_algebra,
     decompose_new,
@@ -149,13 +149,7 @@ def _annihilator_of(algebra, sublattice):
     """
     import numpy as np
 
-    from .exact_linalg import (
-        _matmul_mod,
-        _ModReducer,
-        _rref_mod_p,
-        _word_primes,
-        gcdex,
-    )
+    from .exact_linalg import _crt_rows, _matmul_mod, _ModReducer, _word_primes
 
     d = algebra.rank
     if sublattice.rank == 0:
@@ -192,26 +186,13 @@ def _annihilator_of(algebra, sublattice):
             return _matmul_mod(lsel, sel.transpose(2, 1, 0), p)[:, 0, :].T
 
         # exact pivot columns of R by CRT against the a-priori bound
-        res = None
-        modulus = 1
-        p = p0
-        while True:
-            part = proj_mod(p).tolist()
-            if res is None:
-                res, modulus = part, p
-            else:
-                _g, inv, _ = gcdex(modulus % p, p)
-                for ri, si in zip(res, part):
-                    for j in range(r):
-                        ri[j] += modulus * ((si[j] - ri[j]) * inv % p)
-                modulus *= p
-            if modulus > 2 * ebound:
-                break
+        parts = [(p0, proj_mod(p0))]
+        modulus = p0
+        while modulus <= 2 * ebound:
             p = next(prime_iter)
-        half = modulus // 2
-        proj_rows = [[x - modulus if x > half else x for x in ri]
-                     for ri in res]
-        proj = IntMatrix.from_rows(proj_rows, r)
+            parts.append((p, proj_mod(p)))
+            modulus *= p
+        proj = IntMatrix.from_rows(_crt_rows(parts, modulus), r)
         _logger.debug("annihilator: exact projection built (%d bits), "
                       "computing saturated kernel", modulus.bit_length())
         kern = kernel_saturated(proj.transpose())
@@ -508,7 +489,7 @@ def _match_order_ideal(data, cls, m_t):
     for m_o in maximal_ideals(order, p):
         y = alg_o.mul(x, m_o.idempotent)
         rows = [list(v) for v in m_o.radical_basis] + [list(y)]
-        if _fp_rank(rows, p) > len(m_o.radical_basis):
+        if len(_rref_mod_p(rows, p)[1]) > len(m_o.radical_basis):
             return m_o
     return None
 

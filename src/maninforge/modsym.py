@@ -42,6 +42,7 @@ __all__ = [
     "new_lattice",
     "star_involution",
     "factorize",
+    "is_prime",
     "is_squarefree",
 ]
 
@@ -62,6 +63,39 @@ def factorize(n):
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+# Miller-Rabin with the first 12 prime bases is deterministic below this
+# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017)
+MR_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Whether n is prime, for integers n below MR_BOUND (deterministic)."""
+    if n >= MR_BOUND:
+        raise ValueError(f"is_prime is deterministic only below {MR_BOUND}")
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_squarefree(n):

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, comb
 
-from .exact_linalg import gcdex, _primes_from
+import numpy as np
+
+from .exact_linalg import _crt_rows, _small_primes, _word_primes
 
 __all__ = [
     "IntPoly",
@@ -271,12 +273,10 @@ def int_poly_gcd(a, b):
     b = b.primitive()
     if a.degree == 0 or b.degree == 0:
         return IntPoly([1])
-    from .exact_linalg import _word_primes, gcdex
-
     la, lb = a.leading(), b.leading()
     gl = gcd(la, lb)
     best_deg = None
-    residue = None  # CRT state for the coefficients of gl * (monic gcd)
+    parts = []  # (p, coefficients of gl * (monic gcd) mod p) at best_deg
     modulus = 1
     attempt_at = 1
     for p in _word_primes():
@@ -289,22 +289,14 @@ def int_poly_gcd(a, b):
             return IntPoly([1])
         if best_deg is None or d < best_deg:
             best_deg = d
-            coeffs = [gl % p * c % p for c in gp.coeffs]
-            residue = coeffs
-            modulus = p
-        elif d == best_deg:
-            coeffs = [gl % p * c % p for c in gp.coeffs]
-            _g, inv, _ = gcdex(modulus % p, p)
-            residue = [r + modulus * ((c - r) * inv % p)
-                       for r, c in zip(residue, coeffs)]
-            modulus *= p
-        else:
+            parts, modulus = [], 1
+        elif d > best_deg:
             continue
+        parts.append((p, np.array([[gl % p * c % p for c in gp.coeffs]])))
+        modulus *= p
         attempt_at -= 1
         if attempt_at <= 0:
-            half = modulus // 2
-            cand = IntPoly([c - modulus if c > half else c
-                            for c in residue]).primitive()
+            cand = IntPoly(_crt_rows(parts, modulus)[0]).primitive()
             if (_exact_poly_div(a, cand) is not None
                     and _exact_poly_div(b, cand) is not None):
                 return cand
@@ -661,10 +653,12 @@ def _factor_monic_squarefree(f):
     """Factor a monic squarefree integer polynomial into monic irreducibles."""
     if f.degree == 1:
         return [f]
-    for p in _primes_from(1):
+    for p in _small_primes():
         fp = FpPoly.from_int_poly(f, p)
         if fp.gcd(fp.derivative()).degree == 0:
             break
+    else:
+        raise ArithmeticError("no prime below 2^20 keeps f squarefree")
     modular = [fac for fac, _ in factor_fp(fp)]
     if len(modular) == 1:
         return [f]
@@ -791,59 +785,7 @@ def crt_split(g1, g2):
 
 
 def _charpoly_mod_p(data, p):
-    """Hessenberg characteristic polynomial mod p; data is reduced mod p."""
-    n = len(data)
-    h = [row[:] for row in data]
-    for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            h[k], h[piv] = h[piv], h[k]
-            for row in h:
-                row[k], row[piv] = row[piv], row[k]
-        inv = pow(h[k][k - 1], p - 2, p)
-        for i in range(k + 1, n):
-            if h[i][k - 1]:
-                f = h[i][k - 1] * inv % p
-                hk = h[k]
-                h[i] = [(x - f * y) % p for x, y in zip(h[i], hk)]
-                for row in h:
-                    row[k] = (row[k] + f * row[i]) % p
-    # charpoly of the Hessenberg matrix by recursion on leading minors
-    polys = [[1]]
-    for m in range(1, n + 1):
-        cur = _poly_mul_linear(polys[m - 1], h[m - 1][m - 1], p)
-        prod = 1
-        for i in range(m - 1, 0, -1):
-            prod = prod * h[i][i - 1] % p
-            coef = prod * h[i - 1][m - 1] % p
-            if coef:
-                cur = _poly_sub_scaled(cur, polys[i - 1], coef, p)
-        polys.append(cur)
-    return polys[n]
-
-
-def _poly_mul_linear(poly, c, p):
-    # poly * (x - c)
-    out = [0] * (len(poly) + 1)
-    for i, a in enumerate(poly):
-        out[i + 1] = (out[i + 1] + a) % p
-        out[i] = (out[i] - c * a) % p
-    return out
-
-
-def _poly_sub_scaled(a, b, c, p):
-    out = list(a)
-    for i, x in enumerate(b):
-        out[i] = (out[i] - c * x) % p
-    return out
-
-
-def _charpoly_mod_p_numpy(data, p):
-    """Hessenberg charpoly mod p on int64 numpy arrays (p < 2^20)."""
-    import numpy as np
-
+    """Hessenberg charpoly mod p (p < 2^20) of an int64 matrix, ascending."""
     a = np.mod(np.array(data, dtype=np.int64), p)
     n = a.shape[0]
     for k in range(1, n - 1):
@@ -874,15 +816,15 @@ def _charpoly_mod_p_numpy(data, p):
             if coef:
                 cur = (cur - coef * polys[i - 1]) % p
         polys[m] = cur
-    return [int(x) for x in polys[n]]
+    return polys[n]
 
 
 def charpoly_int(m):
     """Exact characteristic polynomial of a square integer matrix.
 
-    Multimodular: computed mod word-size primes and CRT-reconstructed with a
-    Hadamard-style coefficient bound.  Large matrices go through a
-    vectorized mod-p Hessenberg routine over primes below 2^20.
+    Multimodular: the vectorized Hessenberg charpoly modulo the word primes
+    (exact_linalg._word_primes) until their product passes twice a
+    Hadamard-style coefficient bound, then one CRT lift.
     """
     if m.rows != m.cols:
         raise ValueError("matrix is not square")
@@ -897,38 +839,14 @@ def charpoly_int(m):
         s += 1
     bound *= (s * amax) ** n
     bound = 2 * bound + 1
-    residues = []
-    primes = []
+    parts = []
     modulus = 1
-    use_numpy = n > 64
-    if use_numpy:
-        from .exact_linalg import _word_primes
-
-        prime_src = _word_primes()
-    else:
-        prime_src = _primes_from(1 << 30)
-    small_entries = amax < 2**62
-    for p in prime_src:
-        if use_numpy:
-            data = (m.data if small_entries
-                    else [[x % p for x in row] for row in m.data])
-            residues.append(_charpoly_mod_p_numpy(data, p))
-        else:
-            data = [[x % p for x in row] for row in m.data]
-            residues.append(_charpoly_mod_p(data, p))
-        primes.append(p)
+    arr = np.array(m.data, dtype=np.int64) if amax < 2**62 else None
+    for p in _word_primes():
+        data = (arr if arr is not None
+                else [[x % p for x in row] for row in m.data])
+        parts.append((p, _charpoly_mod_p(data, p)[None]))
         modulus *= p
         if modulus > bound:
             break
-    coeffs = []
-    for k in range(n + 1):
-        residue, mod = 0, 1
-        for cp, p in zip(residues, primes):
-            g, inv, _ = gcdex(mod % p, p)
-            residue = residue + mod * ((cp[k] - residue) * inv % p)
-            mod *= p
-        residue %= mod
-        if residue > mod // 2:
-            residue -= mod
-        coeffs.append(residue)
-    return IntPoly(coeffs)
+    return IntPoly(_crt_rows(parts, modulus)[0])

@@ -71,14 +71,36 @@ def test_invariants_flags(runner):
     assert all(e["p"] == "3" for e in doc["classes"][0]["ideals"])
 
 
-@pytest.mark.parametrize("primes, entry", [("x", "'x'"), ("3,,5", "''"),
-                                            ("4", "'4'")])
+@pytest.mark.parametrize("primes, entry", [
+    ("x", "'x'"), ("3,,5", "''"), ("4", "'4'"), ("3,561", "'561'"),
+    ("2047", "'2047'"), ("3215031751", "'3215031751'"),
+    ("3825123056546413051", "'3825123056546413051'")])
 def test_invariants_refuses_a_bad_primes_entry(runner, primes, entry):
     res = runner.invoke(main, ["invariants", "11", "--primes", primes])
     assert res.exit_code == EXIT_REFUSED
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert res.output.strip().splitlines() == [
         f"--primes entry {entry} is not a prime; refused"]
+
+
+def test_invariants_refuses_a_primes_entry_past_the_test_bound(runner):
+    from maninforge.modsym import MR_BOUND
+
+    res = runner.invoke(main, ["invariants", "11", "--primes",
+                               f"5,{MR_BOUND + 2}"])
+    assert res.exit_code == EXIT_REFUSED
+    assert res.output.strip().splitlines() == [
+        f"--primes entry '{MR_BOUND + 2}' is too large to test "
+        f"(limit {MR_BOUND}); refused"]
+
+
+def test_invariants_accepts_large_primes(runner):
+    # primality is decided by Miller-Rabin, not by trial division up to sqrt
+    res = runner.invoke(main, ["invariants", "11", "--json", "--primes",
+                               "100000000000031,9999999999999999961"])
+    assert res.exit_code == EXIT_OK
+    doc = json.loads(res.output)
+    assert [c["label"] for c in doc["classes"]] == ["11.0"]
 
 
 def test_certify_and_scan(runner):

@@ -497,3 +497,61 @@ def test_cached_bound_keeps_pickle_and_text_roundtrips_equal():
         assert copy.max_abs() == prod.max_abs()
     with pytest.raises(AttributeError):
         prod._max_abs = 0
+
+
+def _sympy_rref_mod_p(rows, ncols, p):
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field = GF(p)
+    m = DomainMatrix([[field(x) for x in row] for row in rows],
+                     (len(rows), ncols), field)
+    red, piv = m.rref()
+    return [[int(x) % p for x in row] for row in red.to_list()], list(piv)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1048573, 2147483629, 8589934609])
+def test_rref_mod_p_matches_sympy(p):
+    import numpy as np
+
+    from maninforge.exact_linalg import _rref_mod_p
+    from maninforge.hecke_algebra import _PIVOT_PRIME
+
+    assert p != 2147483629 or p == _PIVOT_PRIME
+    rng = random.Random(p)
+    for nrows, ncols, rank in [(5, 7, 3), (7, 4, 4), (6, 6, 2), (1, 5, 1),
+                               (4, 3, 0)]:
+        # a product of random factors, so the rank is (generically) `rank`
+        left = [[rng.randrange(p) for _ in range(rank)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
+        rows = [[sum(x * y for x, y in zip(row, col)) % p
+                 for col in zip(*right)] if rank else [0] * ncols
+                for row in left]
+        want, want_piv = _sympy_rref_mod_p(rows, ncols, p)
+        red, piv = _rref_mod_p(rows, p)
+        assert red.tolist() == want and piv == want_piv
+        # pivots searched in a permuted column order: the RREF of the
+        # permuted matrix, read back in the original columns
+        order = list(range(ncols))
+        rng.shuffle(order)
+        want, want_piv = _sympy_rref_mod_p([[row[j] for j in order]
+                                            for row in rows], ncols, p)
+        red, piv = _rref_mod_p(np.array(rows, dtype=object), p,
+                               pivot_order=order)
+        assert red[:, order].tolist() == want
+        assert piv == [order[j] for j in want_piv]
+    for shape in [(0, 4), (3, 0), (0, 0)]:
+        red, piv = _rref_mod_p(np.zeros(shape, dtype=np.int64), p)
+        assert red.shape == shape and piv == []
+
+
+def test_crt_rows_lifts_to_the_symmetric_range():
+    import numpy as np
+
+    from maninforge.exact_linalg import _crt_rows
+
+    primes = [1048573, 1048571, 1048559]
+    modulus = primes[0] * primes[1] * primes[2]
+    want = [[0, 1, -1, modulus // 2, -(modulus // 2), 123456789012345]]
+    parts = [(p, np.array([[x % p for x in want[0]]])) for p in primes]
+    assert _crt_rows(parts, modulus) == want

@@ -4,6 +4,7 @@ import pytest
 
 from maninforge.exact_linalg import IntLattice, IntMatrix, restrict_operator
 from maninforge.hecke_algebra import (
+    GorensteinVerdict,
     build_hecke_algebra,
     decompose_new,
     eigenvalue_table,
@@ -30,8 +31,15 @@ def test_sturm_bound_examples():
 
 
 def test_primes_upto():
+    import sympy
+
     assert primes_upto(13) == [2, 3, 5, 7, 11, 13]
     assert primes_upto(1) == []
+    for bound in (2, 3, 100, 7919, 10**4):
+        assert primes_upto(bound) == list(sympy.primerange(bound + 1))
+    assert primes_upto((1 << 20) - 1)[-1] == 1048573
+    with pytest.raises(ValueError):
+        primes_upto(1 << 20)
 
 
 @pytest.mark.parametrize("n", [23, 29, 31, 37, 43])
@@ -130,6 +138,21 @@ def test_gorenstein_true_means_fiber_two():
     verdict = is_gorenstein(alg, m, s_std)
     assert verdict.status == "true"
     assert verdict.fiber_dimension == 2
+
+
+def test_gorenstein_fiber_two_at_a_prime_past_int64_products():
+    # p^2 passes 2^63: the residue products must not wrap
+    import sympy
+
+    p = 8589934609
+    assert sympy.isprime(p) and p * p >= 1 << 63
+    sp = build_space(23)
+    alg = build_hecke_algebra(sp)
+    s_std = IntLattice.standard(sp.cuspidal_rank)
+    ideals = maximal_ideals(alg, p)
+    assert [m.residue_degree for m in ideals] == [1, 1]
+    for m in ideals:
+        assert is_gorenstein(alg, m, s_std) == GorensteinVerdict("true", 2)
 
 
 @pytest.mark.parametrize("n", [23, 29, 31, 33, 35, 37, 39, 41, 43, 47])
@@ -240,7 +263,8 @@ def test_closure_is_exact_at_102():
 def test_structure_constants_match_matrix_products(n):
     import random
 
-    from maninforge.hecke_algebra import _PIVOT_PRIME, _fp_rank, _ModPAlgebra
+    from maninforge.exact_linalg import _rref_mod_p
+    from maninforge.hecke_algebra import _PIVOT_PRIME, _ModPAlgebra
 
     sp = build_space(n)
     alg = build_hecke_algebra(sp)
@@ -248,7 +272,7 @@ def test_structure_constants_match_matrix_products(n):
     # degenerates mod 2; at 57 it is saturated
     rows = [[x for r in m.data for x in r] for m in alg.basis_mats]
     assert (saturation_index(alg) > 1) == (n == 46)
-    assert (_fp_rank(rows, 2) < alg.rank) == (n == 46)
+    assert (len(_rref_mod_p(rows, 2)[1]) < alg.rank) == (n == 46)
     rings = [alg] + [order_of(alg, cls) for cls in decompose_new(sp, alg)]
     rng = random.Random(n)
     for ring in rings:

@@ -16,12 +16,14 @@ import sympy
 from maninforge.exact_linalg import IntMatrix, kernel_saturated
 from maninforge.hecke_algebra import primes_upto, sturm_bound
 from maninforge.modsym import (
+    MR_BOUND,
     atkin_lehner,
     build_space,
     degeneracy,
     degeneracy_pullback,
     factorize,
     hecke,
+    is_prime,
     is_squarefree,
     new_lattice,
     p1_list,
@@ -385,6 +387,19 @@ def test_factorize_matches_sympy():
     for n in range(2, 2001):
         assert factorize(n) == sympy.factorint(n), n
     assert list(factorize(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
+
+
+def test_is_prime_matches_sympy():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        list(sympy.primerange(10**5))
+    # a Carmichael number and strong pseudoprimes to the first 1, 4 and 9
+    # prime bases
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    assert is_prime(10**14 + 31) and is_prime(9999999999999999961)
+    assert is_prime(MR_BOUND - 1) == sympy.isprime(MR_BOUND - 1)
+    with pytest.raises(ValueError):
+        is_prime(MR_BOUND)
 
 
 def test_is_squarefree():

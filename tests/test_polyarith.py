@@ -148,9 +148,13 @@ def test_crt_split_idempotent_property():
 
 def test_charpoly_int_matches_sympy():
     rng = random.Random(4)
-    for size in [1, 2, 3, 5, 8]:
-        m = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
-        cp = charpoly_int(IntMatrix.from_rows(m, size))
+    cases = [[[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+             for size in [1, 2, 3, 5, 8, 13, 20]]
+    # entries past 2^62 are reduced per prime in Python ints
+    cases.append([[rng.randint(-(2**70), 2**70) for _ in range(4)]
+                  for _ in range(4)])
+    for m in cases:
+        cp = charpoly_int(IntMatrix.from_rows(m, len(m)))
         sm = sympy.Matrix(m)
         expected = [int(c) for c in reversed(sm.charpoly().all_coeffs())]
         assert list(cp.coeffs) == expected
@@ -179,7 +183,7 @@ def test_hypothesis_factor_roundtrip(c1, c2):
 
 
 def test_charpoly_int_large_block_companion():
-    # the n > 64 multimodular path, against a known block-companion answer
+    # size 66, against a known block-companion answer
     rng = random.Random(12)
     polys = []
     left = 66
