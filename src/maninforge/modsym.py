@@ -65,11 +65,12 @@ def factorize(n):
     return out
 
 
-# Miller-Rabin with the first 12 prime bases is deterministic below this
-# bound (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86, 2017)
+# Miller-Rabin with the first 13 prime bases (2..41) is deterministic below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 86,
+# 2017); the first 12 bases only suffice below 318665857834031151167461
 MR_BOUND = 3317044064679887385961981
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n):

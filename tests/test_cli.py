@@ -74,7 +74,8 @@ def test_invariants_flags(runner):
 @pytest.mark.parametrize("primes, entry", [
     ("x", "'x'"), ("3,,5", "''"), ("4", "'4'"), ("3,561", "'561'"),
     ("2047", "'2047'"), ("3215031751", "'3215031751'"),
-    ("3825123056546413051", "'3825123056546413051'")])
+    ("3825123056546413051", "'3825123056546413051'"),
+    ("318665857834031151167461", "'318665857834031151167461'")])
 def test_invariants_refuses_a_bad_primes_entry(runner, primes, entry):
     res = runner.invoke(main, ["invariants", "11", "--primes", primes])
     assert res.exit_code == EXIT_REFUSED

@@ -392,9 +392,10 @@ def test_factorize_matches_sympy():
 def test_is_prime_matches_sympy():
     assert [n for n in range(10**5) if is_prime(n)] == \
         list(sympy.primerange(10**5))
-    # a Carmichael number and strong pseudoprimes to the first 1, 4 and 9
-    # prime bases
-    for n in (561, 2047, 3215031751, 3825123056546413051):
+    # a Carmichael number and strong pseudoprimes to the first 1, 4, 9 and
+    # 12 prime bases
+    for n in (561, 2047, 3215031751, 3825123056546413051,
+              318665857834031151167461):
         assert not is_prime(n)
     assert is_prime(10**14 + 31) and is_prime(9999999999999999961)
     assert is_prime(MR_BOUND - 1) == sympy.isprime(MR_BOUND - 1)
