@@ -178,18 +178,6 @@ class IntMatrix:
         ]
         return IntMatrix(self.rows, other.cols, out)
 
-    def mul_vec(self, v):
-        """Row vector v times this matrix."""
-        if len(v) != self.rows:
-            raise ValueError("length mismatch")
-        out = [0] * self.cols
-        for x, row in zip(v, self.data):
-            if x:
-                for j, y in enumerate(row):
-                    if y:
-                        out[j] += x * y
-        return out
-
     def to_text(self):
         lines = [f"{self.rows} {self.cols}"]
         for row in self.data:
@@ -675,24 +663,34 @@ def _mod_p_product(p):
 
 
 class _ModReducer:
-    """Reduce a fixed integer array modulo many small primes, quickly.
+    """Reduce a fixed integer array modulo many primes, quickly.
 
-    When every entry fits in a machine word the array is stored as int64
-    and reduced with ``np.mod``.  Otherwise each |entry| is decomposed
-    once into base-2**32 limbs (via ``int.to_bytes``); reduction modulo p
-    is then a single vectorized dot with the powers of 2**32 mod p, which
-    avoids re-walking millions of Python bigints for every prime.
-    Requires p < 2**31 / nlimbs so the int64 accumulation cannot overflow.
+    This is the one place that decides whether an integer array is held
+    in int64 (IntMatrix.__mul__ decides it for exact products).  data is
+    an integer array or nested rows of Python ints, reshaped to shape
+    when one is given.  When every entry fits in int64 the array is
+    stored as int64 and reduced with ``np.mod``.  Otherwise each |entry|
+    is decomposed once into base-2**32 limbs (via ``int.to_bytes``);
+    reduction modulo p is then a vectorized dot with the powers of 2**32
+    mod p, which avoids re-walking millions of Python bigints for every
+    prime.
     """
 
-    def __init__(self, flat, shape):
-        self.shape = shape
-        amax = max(max(flat), -min(flat)) if flat else 0
-        if amax < 2**62:
-            self._arr = np.array(flat, dtype=np.int64).reshape(shape)
+    def __init__(self, data, shape=None):
+        try:
+            arr = np.array(data, dtype=np.int64)
+        except OverflowError:
+            arr = np.array(data, dtype=object)
+        if shape is not None:
+            arr = arr.reshape(shape)
+        self.shape = arr.shape
+        if arr.dtype == np.int64:
+            self._arr = arr
             self._limbs = None
         else:
             self._arr = None
+            flat = arr.ravel().tolist()
+            amax = max(max(flat), -min(flat))
             nbytes = ((amax.bit_length() + 31) // 32) * 4
             # stream into one preallocated buffer: a bytes-join would hold
             # millions of transient bytes objects alive at once
@@ -708,19 +706,32 @@ class _ModReducer:
                 dtype=np.int8, count=len(flat))
 
     def mod(self, p):
-        """Entries reduced into [0, p) as an int64 array of self.shape."""
+        """Entries reduced into [0, p), in an array of self.shape.
+
+        The array is int64 when p < 2^63 and holds Python ints above.
+        """
+        wide = p >= 1 << 63
         if self._arr is not None:
-            return np.mod(self._arr, p)
-        nlimbs = self._limbs.shape[1]
-        if p * nlimbs >= 1 << 31:
-            raise ValueError("prime too large for limb reduction")
-        pows = np.empty(nlimbs, dtype=np.int64)
-        acc = 1
-        for i in range(nlimbs):
-            pows[i] = acc
-            acc = (acc << 32) % p
-        r = (self._limbs @ pows) % p
-        return (r * self._signs % p).reshape(self.shape)
+            return self._arr.astype(object) % p if wide else np.mod(self._arr, p)
+        # a term limb * (2^32i mod p) is below 2^32 * p: the limb dot runs
+        # in int64 blocks of as many terms as sum without wrapping, and in
+        # Python ints when not even one term fits (p above 2^31)
+        block = ((1 << 63) - 1) // (((1 << 32) - 1) * max(p - 1, 1))
+        if block:
+            pows = self._powers(p, np.int64)
+            r = 0
+            for lo in range(0, len(pows), block):
+                r = (r + self._limbs[:, lo:lo + block] @ pows[lo:lo + block]
+                     % p) % p
+        else:
+            r = self._limbs.astype(object) @ self._powers(p, object) % p
+        r = r * self._signs % p
+        return (r if wide else r.astype(np.int64)).reshape(self.shape)
+
+    def _powers(self, p, dtype):
+        """2^(32 i) mod p for each limb position i."""
+        return np.array([pow(2, 32 * i, p)
+                         for i in range(self._limbs.shape[1])], dtype=dtype)
 
 
 def _det_mod_p_numpy(a, p):
@@ -748,16 +759,11 @@ def _det_mod_p_numpy(a, p):
 
 def _det_multimodular(data):
     bound = 2 * _hadamard_bound(data) + 1
-    small = all(abs(x) < 2**62 for row in data for x in row)
-    arr = np.array(data, dtype=np.int64) if small else None
+    reducer = _ModReducer(data)
     parts = []
     modulus = 1
     for p in _word_primes():
-        if arr is not None:
-            A = np.mod(arr, p)
-        else:
-            A = np.array([[x % p for x in row] for row in data], dtype=np.int64)
-        parts.append((p, np.array([[_det_mod_p_numpy(A, p)]])))
+        parts.append((p, np.array([[_det_mod_p_numpy(reducer.mod(p), p)]])))
         modulus *= p
         if modulus > bound:
             break
@@ -1144,15 +1150,10 @@ def kernel_saturated(m):
     if m.rows == 0 or m.is_zero():
         return IntLattice.standard(n)
     rows = m.data
+    reducer = _ModReducer(rows)
 
     def matrix_mod(ps):
-        # one big reduction mod the batch product, then cheap per-prime
-        # mods of the small residues
-        prod_p = 1
-        for p in ps:
-            prod_p *= p
-        red_rows = [[x % prod_p for x in row] for row in rows]
-        return ([[x % p for x in row] for row in red_rows] for p in ps)
+        return map(reducer.mod, ps)
 
     def accept(w_rows, free):
         if all(_in_kernel_exact(rows, w) for w in w_rows):

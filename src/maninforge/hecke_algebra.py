@@ -22,6 +22,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, partial
+from operator import mul
 
 import numpy as np
 
@@ -33,10 +34,13 @@ from .exact_linalg import (
     InvariantViolation,
     RatMatrix,
     _crt_rows,
+    _hnf_rows,
     _matmul_mod,
     _mod_p_product,
     _ModReducer,
+    _pivots,
     _rref_mod_p,
+    _solve_hnf_int,
     _word_primes,
     lattice_intersect,
     primes_upto,
@@ -101,19 +105,14 @@ class _PivotSolver:
     """
 
     def __init__(self, basis_rows_full, pivot_cols):
-        from .exact_linalg import _hnf_rows
-
         self.pivot_cols = list(pivot_cols)
         proj = [[row[j] for j in self.pivot_cols] for row in basis_rows_full]
         H, r, U = _hnf_rows(proj, transform=True, ncols=len(self.pivot_cols))
         if r != len(basis_rows_full):
             raise ValueError("pivot columns do not separate the basis")
         self.hnf = H[:r]
-        self.transform = U[:r]
-        self.dim = r
-        # the leading column of each HNF row
-        self.hnf_pivots = [next(j for j, x in enumerate(row) if x)
-                           for row in self.hnf]
+        self.hnf_pivots = _pivots(self.hnf)
+        self._transform_cols = list(zip(*U[:r]))
 
     def solve(self, full_row):
         """Integer coordinates of a vector known to lie in the Q-span."""
@@ -121,22 +120,10 @@ class _PivotSolver:
 
     def solve_projected(self, w):
         """Like solve, but from the pivot-column entries directly."""
-        d = self.dim
-        z = [0] * d
-        for i, k in enumerate(self.hnf_pivots):
-            acc = w[k] - sum(z[t] * self.hnf[t][k] for t in range(i))
-            q, r = divmod(acc, self.hnf[i][k])
-            if r:
-                return None
-            z[i] = q
-        # check the non-pivot columns too
-        for k in range(len(self.pivot_cols)):
-            if sum(z[t] * self.hnf[t][k] for t in range(d)) != w[k]:
-                return None
-        return [
-            sum(z[t] * self.transform[t][i] for t in range(d))
-            for i in range(len(self.transform[0]))
-        ]
+        z = _solve_hnf_int(self.hnf, self.hnf_pivots, w)
+        if z is None:
+            return None
+        return [sum(map(mul, z, col)) for col in self._transform_cols]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +162,7 @@ class _BasisRing:
         if coords is None:
             return None
         if verify and not self._combines_to(
-                [coords], _ModReducer(row, (1, len(row))).mod, mat.max_abs()):
+                [coords], _ModReducer(mat.data, (1, -1)).mod, mat.max_abs()):
             return None
         return coords
 
@@ -184,17 +171,14 @@ class _BasisRing:
         """(largest basis entry, residues).
 
         residues(p) is the basis modulo a word prime p as a (rank, dim_s^2)
-        array: the one residue source for the basis, kept per prime up to
-        a byte budget.
+        int32 array, read from _basis_reducer and kept per prime up to a
+        byte budget.
         """
         bmax = max((m.max_abs() for m in self.basis_mats), default=0)
-        shape = (self.rank, self.dim_s * self.dim_s)
-        if 0 < bmax < 2**62:
-            reduce = partial(np.mod, np.array(
-                [m.data for m in self.basis_mats], dtype=np.int64).reshape(shape))
-        else:
-            reduce = _ModReducer([x for m in self.basis_mats
-                                  for r in m.data for x in r], shape).mod
+        # bound here, not read through self in the closure: a closure over
+        # self is a reference cycle, which keeps a dropped ring's residue
+        # cache alive until the cyclic garbage collector runs
+        reduce = self._basis_reducer.mod
         cache = {}
 
         def residues(p):
@@ -206,6 +190,12 @@ class _BasisRing:
             return rp
 
         return bmax, residues
+
+    @cached_property
+    def _basis_reducer(self):
+        """The basis matrices as a (rank, dim_s^2) _ModReducer."""
+        return _ModReducer([m.data for m in self.basis_mats],
+                           (self.rank, self.dim_s * self.dim_s))
 
     def _combines_to(self, zs, targets, tmax):
         """Exact check that each row of zs, as basis coordinates, gives the
@@ -219,10 +209,10 @@ class _BasisRing:
         bmax, residues = self._fast_rows
         cmax = max((abs(int(c)) for z in zs for c in z), default=0)
         need = 2 * (self.rank * cmax * bmax + tmax) + 1
+        z_mod = _ModReducer(zs, (len(zs), self.rank)).mod
         modulus = 1
         for p in _word_primes():
-            zp = np.array([[int(c) % p for c in z] for z in zs], dtype=np.int64)
-            if np.any(_matmul_mod(zp, residues(p), p) != targets(p)):
+            if np.any(_matmul_mod(z_mod(p), residues(p), p) != targets(p)):
                 return False
             modulus *= p
             if modulus >= need:
@@ -379,18 +369,15 @@ def build_hecke_algebra(space):
     target_bits = 100
     algebra = None
     chunk = max(1, (1 << 22) // max(1, rank))
+    rproj_mod = _ModReducer(r_proj_rows).mod
+    h_mod = _ModReducer(h_rows).mod
     for _attempt in range(6):
         while modulus.bit_length() < target_bits:
             p = next(prime_gen)
-            rproj_p = np.array(
-                [[x % p for x in row] for row in r_proj_rows],
-                dtype=np.int64)
-            inv_p = _inv_mod_p(rproj_p, p)
+            inv_p = _inv_mod_p(rproj_mod(p), p)
             if inv_p is None:
                 continue
-            hp = np.array([[x % p for x in row] for row in h_rows],
-                          dtype=np.int64)
-            x_parts.append((p, _matmul_mod(hp, inv_p, p)))
+            x_parts.append((p, _matmul_mod(h_mod(p), inv_p, p)))
             modulus *= p
         _logger.debug("algebra build: HNF done, reconstructing basis (%d bits)", target_bits)
         b_rows = [[] for _ in range(rank)]
@@ -512,9 +499,7 @@ def _check_closure(algebra, seeds):
         pairs = random.Random(rank).sample(pairs, _CLOSURE_PAIRS)
     pos = [divmod(c, r) for c in algebra._solver.pivot_cols]
     seed_cols = [list(zip(*g.data)) for g in seed_list]
-    seed_mod = cache(_ModReducer(
-        [x for g in seed_list for row in g.data for x in row],
-        (len(seed_list), r, r)).mod)
+    seed_mod = cache(_ModReducer([g.data for g in seed_list]).mod)
     bmax, residues = algebra._fast_rows
     tmax = r * bmax * max(g.max_abs() for g in seed_list)
     for lo in range(0, len(pairs), _CLOSURE_CHUNK):
@@ -537,22 +522,6 @@ def _check_closure(algebra, seeds):
 
         if not algebra._combines_to(zs, products, tmax):
             raise ValueError("Hecke algebra closure verification failed")
-
-
-def _combine_rows(combos, mats, vec_rows, r):
-    """Integer combinations of matrices, via int64 matmul when safe."""
-    cmax = max((abs(int(c)) for combo in combos for c in combo), default=0)
-    emax = max((abs(x) for row in vec_rows for x in row), default=0)
-    if 0 < emax < 2**31 and len(vec_rows) * cmax * emax < 2**62:
-        arr = np.array(vec_rows, dtype=np.int64)
-        carr = np.array([[int(c) for c in combo] for combo in combos],
-                        dtype=np.int64)
-        prod = carr @ arr
-        return [
-            IntMatrix(r, r, [list(row[i * r:(i + 1) * r]) for i in range(r)])
-            for row in prod.tolist()
-        ]
-    return [_combination(combo, mats, r) for combo in combos]
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +596,11 @@ def poly_kernel_saturated(t, g):
 
     n = t.rows
     cs = g.coeffs
-    t64 = np.array(t.data, dtype=np.int64) if t.max_abs() < 2**62 else None
+    t_mod = _ModReducer(t.data).mod
 
     def matrix_mod(ps):
         for p in ps:
-            tp = (np.mod(t64, p) if t64 is not None else
-                  np.array([[x % p for x in row] for row in t.data],
-                           dtype=np.int64))
-            yield np.ascontiguousarray(_poly_mod_horner(tp, cs, p).T)
+            yield np.ascontiguousarray(_poly_mod_horner(t_mod(p), cs, p).T)
 
     def accept(w_rows, free):
         try:
@@ -687,13 +653,10 @@ def _certify_poly_kernel(t, g, lat):
         bound += abs(c) * powb
         powb *= max(1, k * mmax)
     bound = 2 * bound
-    m64 = np.array(coords, dtype=np.int64) if mmax < 2**62 else None
+    m_mod = _ModReducer(coords).mod
     modulus = 1
     for p in _word_primes():
-        mp = (np.mod(m64, p) if m64 is not None else
-              np.array([[x % p for x in row] for row in coords],
-                       dtype=np.int64))
-        if np.any(_poly_mod_horner(mp, cs, p)):
+        if np.any(_poly_mod_horner(m_mod(p), cs, p)):
             return False
         modulus *= p
         if modulus > bound:
@@ -840,18 +803,17 @@ def order_of(algebra, cls):
     # the restrictions are dependent (T[e_f] dies); a Z-basis of the image
     # comes from the HNF of the pivot-column projection, which is injective
     # on the Q-span of the image
-    from .exact_linalg import _hnf_rows
-
     proj = [[row[j] for j in pivots] for row in rows]
     _h, r_exact, u_rows = _hnf_rows(proj, transform=True, ncols=len(pivots))
     if r_exact != rank:
         raise ValueError("exact image rank disagrees with the mod-p rank")
-    basis_mats = _combine_rows(u_rows[:rank], restricted, rows,
-                               cls.lattice.rank)
-    order = OrderOf(rank, tuple(basis_mats))
-    order._solver = _PivotSolver(
-        [[x for r in m.data for x in r] for m in basis_mats], pivots
-    )
+    r = cls.lattice.rank
+    basis_rows = (IntMatrix.from_rows(u_rows[:rank], len(rows))
+                  * IntMatrix.from_rows(rows, r * r)).data
+    order = OrderOf(rank, tuple(
+        IntMatrix(r, r, [row[i * r:(i + 1) * r] for i in range(r)])
+        for row in basis_rows))
+    order._solver = _PivotSolver(basis_rows, pivots)
     order.unit_coords()  # raises when the identity is missing
     return order
 
@@ -950,10 +912,6 @@ class MaxIdeal:
     comp_basis: tuple = field(repr=False, default=None)  # mod-p basis of the local factor
     radical_basis: tuple = field(repr=False, default=None)  # mod-p basis of its radical
 
-    @property
-    def local_dim(self):
-        return len(self.comp_basis)
-
 
 def maximal_ideals(ring, p):
     """Maximal ideals of residue characteristic p, via local idempotents."""
@@ -1046,33 +1004,21 @@ def _fp_pow(g, e):
 # module-theoretic diagnostics
 
 
-def _restricted_action(algebra, lattice):
-    """Basis matrices of the algebra restricted to a stable sublattice."""
-    return [restrict_operator(lattice, b) for b in algebra.basis_mats]
+def fiber_dim(m):
+    """dim over T/m of S/mS, at the local piece at m.
 
-
-def fiber_dim(module, m):
-    """dim over T/m of (module / m*module), for the local piece at m.
-
-    `module` is an IntLattice inside the cuspidal coordinate space (acted on
-    by the parent algebra of m), or the algebra itself (regular module).
+    S is the lattice the basis matrices of the ring of m act on (the
+    cuspidal lattice for T), so e and the radical elements act on S/pS
+    through the residues of those matrices, with products exact at every
+    p (_mod_p_product).
     """
     ring = m.parent
     p = m.p
-    if isinstance(module, (HeckeAlgebra, OrderOf)):
-        # regular module: fiber of a cyclic module is 1-dimensional
-        if module is not ring:
-            raise ValueError("ideal does not belong to this ring")
-        return 1
-    acts = _restricted_action(ring, module)
-    r = module.rank
+    r = ring.dim_s
     if r == 0:
         return 0
-    # e and the radical elements act through the residues of the basis
-    # matrices, with products exact at every p (_mod_p_product)
     dtype, matmul = _mod_p_product(p)
-    acts_p = np.array([[x % p for row in a.data for x in row] for a in acts],
-                      dtype=dtype)
+    acts_p = ring._basis_reducer.mod(p).astype(dtype)
     e_mat = matmul(np.array([m.idempotent], dtype=dtype), acts_p)
     red, piv = _rref_mod_p(e_mat.reshape(r, r), p)
     dim_v = len(piv)
@@ -1113,7 +1059,7 @@ class GorensteinVerdict:
     fiber_dimension: int
 
 
-def is_gorenstein(algebra, m, s_lattice):
+def is_gorenstein(algebra, m):
     """Gorenstein test at m via the fiber dimension of S, with guards.
 
     Applicable when (i) p does not divide the level, (ii) p is odd with
@@ -1122,7 +1068,7 @@ def is_gorenstein(algebra, m, s_lattice):
     """
     n = algebra.level
     p = m.p
-    dim = fiber_dim(s_lattice, m)
+    dim = fiber_dim(m)
     ordp = 0
     nn = n
     while nn % p == 0:
@@ -1211,8 +1157,6 @@ def saturation_index(algebra, s_lattice=None):
 
 def _column_span_index(rows, d):
     """[Z^d : column span] for a full-row-rank d x N integer matrix."""
-    from .exact_linalg import _hnf_rows
-
     n_cols = len(rows[0])
     echelon = []  # rows of a triangular basis of the span of the columns
     index_known_one = False

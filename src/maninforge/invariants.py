@@ -162,7 +162,7 @@ def _annihilator_of(algebra, sublattice):
     _logger.debug(
         "annihilator: d=%d k=%d n=%d lmax %d bits, bmax %d bits",
         d, k, n, lmax.bit_length(), bmax.bit_length())
-    l_red = _ModReducer([x for row in lb.data for x in row], (k, n))
+    l_red = _ModReducer(lb.data)
 
     def rows_mod(p):
         bp = b_residues(p).reshape(d, n, n)
@@ -205,16 +205,12 @@ def _annihilator_of(algebra, sublattice):
         need = 2 * d * vmax * ebound
         _logger.debug("annihilator: vmax %d bits, verification needs "
                       "%d bits", vmax.bit_length(), need.bit_length())
-        v64 = (np.array(kern.basis.data, dtype=np.int64)
-               if vmax < 2**62 else None)
+        v_mod = _ModReducer(kern.basis.data).mod
         modulus = 1
         good = True
         checked = 0
         for p in _word_primes():
-            vp = (np.mod(v64, p) if v64 is not None else
-                  np.array([[x % p for x in row]
-                            for row in kern.basis.data], dtype=np.int64))
-            if np.any(_matmul_mod(vp, rows_mod(p), p)):
+            if np.any(_matmul_mod(v_mod(p), rows_mod(p), p)):
                 good = False
                 break
             modulus *= p
@@ -497,7 +493,6 @@ def _match_order_ideal(data, cls, m_t):
 def _ideal_diagnostics(data, cls, p, cong_orders, deg_orders):
     """Per-maximal-ideal diagnostic records at residue characteristic p."""
     n = data.n
-    s_std = IntLattice.standard(data.space.cuspidal_rank)
     u_sign = None
     if n % p == 0 and (n // p) % p:
         try:
@@ -514,7 +509,7 @@ def _ideal_diagnostics(data, cls, p, cong_orders, deg_orders):
         in_support = cong_m > 1 or deg2_m > 1
         if not in_support:
             continue
-        gor = is_gorenstein(data.algebra, m_t, s_std)
+        gor = is_gorenstein(data.algebra, m_t)
         m_o = _match_order_ideal(data, cls, m_t)
         dvr = is_dvr(data.order(cls), m_o) if m_o is not None else None
         records.append(

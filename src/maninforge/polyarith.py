@@ -12,7 +12,7 @@ from math import gcd, comb
 
 import numpy as np
 
-from .exact_linalg import _crt_rows, _small_primes, _word_primes
+from .exact_linalg import _crt_rows, _ModReducer, _small_primes, _word_primes
 
 __all__ = [
     "IntPoly",
@@ -45,10 +45,6 @@ class IntPoly:
 
     def __reduce__(self):
         return (self.__class__, (self.coeffs,))
-
-    @classmethod
-    def x_power(cls, k, c=1):
-        return cls([0] * k + [c])
 
     @property
     def degree(self):
@@ -336,9 +332,6 @@ class FpPoly:
 
     def is_zero(self):
         return not self.coeffs
-
-    def is_one(self):
-        return self.coeffs == (1,)
 
     def __eq__(self, other):
         return (isinstance(other, FpPoly) and self.p == other.p
@@ -784,9 +777,11 @@ def crt_split(g1, g2):
 # Characteristic polynomial (multimodular)
 
 
-def _charpoly_mod_p(data, p):
-    """Hessenberg charpoly mod p (p < 2^20) of an int64 matrix, ascending."""
-    a = np.mod(np.array(data, dtype=np.int64), p)
+def _charpoly_mod_p(a, p):
+    """Hessenberg charpoly mod p (p < 2^20) of a residue matrix, ascending.
+
+    a is an int64 array of residues in [0, p); it is overwritten.
+    """
     n = a.shape[0]
     for k in range(1, n - 1):
         nz = np.nonzero(a[k:, k - 1])[0]
@@ -841,11 +836,9 @@ def charpoly_int(m):
     bound = 2 * bound + 1
     parts = []
     modulus = 1
-    arr = np.array(m.data, dtype=np.int64) if amax < 2**62 else None
+    reducer = _ModReducer(m.data)
     for p in _word_primes():
-        data = (arr if arr is not None
-                else [[x % p for x in row] for row in m.data])
-        parts.append((p, _charpoly_mod_p(data, p)[None]))
+        parts.append((p, _charpoly_mod_p(reducer.mod(p), p)[None]))
         modulus *= p
         if modulus > bound:
             break

@@ -135,10 +135,9 @@ def test_criterion_6_gorenstein_inequality():
             if sp.cuspidal_rank == 0:
                 continue
             alg = build_hecke_algebra(sp)
-            s_std = IntLattice.standard(sp.cuspidal_rank)
             for p in [2, 3, 5, 7, 11, 13]:
                 for m in maximal_ideals(alg, p):
-                    verdict = is_gorenstein(alg, m, s_std)
+                    verdict = is_gorenstein(alg, m)
                     assert verdict.fiber_dimension <= socle_dim(alg, m) + 1, \
                         (n, p)
 

@@ -356,6 +356,37 @@ def test_mod_reducer_matches_direct():
     assert red64.mod(1048573).reshape(-1).tolist() == [x % 1048573 for x in small]
 
 
+# the largest word prime, a prime past 2^31 (Python-int limb dot) and one
+# past 2^63 (Python-int residues)
+@pytest.mark.parametrize("p", [2, 65537, 1048573, 8589934609, 2**64 + 13])
+@pytest.mark.parametrize("kind", ["int64", "past_2_62", "past_2_63",
+                                  "negative", "empty", "past_old_limit"])
+def test_mod_reducer_matches_python_mod_at_every_entry_size(p, kind):
+    import numpy as np
+
+    from maninforge.exact_linalg import _ModReducer, _word_primes
+
+    assert next(_word_primes()) == 1048573
+    rng = random.Random(kind)
+    rows = {
+        "int64": [[rng.randint(-(2**62), 2**62) for _ in range(5)]
+                  for _ in range(4)],
+        "past_2_62": [[2**62 + i, 2**63 - 1 - i, -(2**63) + i] for i in range(3)],
+        "past_2_63": [[2**63, -(2**63) - 1, 2**64 + 3, 7]],
+        "negative": [[-rng.randint(1, 2**200) for _ in range(3)]
+                     for _ in range(3)],
+        "empty": [],
+        # 2049 limbs: p * nlimbs passes 2^31 at the largest word prime
+        "past_old_limit": [[2**65600 + rng.randint(0, 2**70), -(3**41500), 1],
+                           [0, -1, -(2**65599) - 12345]],
+    }[kind]
+    red = _ModReducer(rows, (len(rows), len(rows[0]) if rows else 0))
+    got = red.mod(p)
+    assert got.dtype == (np.int64 if p < 2**63 else object)
+    assert got.shape == red.shape
+    assert got.tolist() == [[x % p for x in row] for row in rows]
+
+
 def test_word_primes_are_every_prime_below_2_20_descending():
     from maninforge.exact_linalg import _word_primes
 
