@@ -162,7 +162,14 @@ def _parse_prime(entry):
     return p
 
 
+def _require_level(n):
+    if n < 1:
+        click.echo("level must be >= 1", err=True)
+        sys.exit(EXIT_REFUSED)
+
+
 def _require_squarefree(n):
+    _require_level(n)
     if not is_squarefree(n):
         click.echo(f"level {n} is not squarefree; refused", err=True)
         sys.exit(EXIT_REFUSED)
@@ -195,9 +202,7 @@ def _cached_space(root, n):
 @click.pass_context
 def cmd_space(ctx, n, as_json):
     """Print the dimensions of the level-n modular symbol space."""
-    if n < 1:
-        click.echo("level must be >= 1", err=True)
-        sys.exit(EXIT_REFUSED)
+    _require_level(n)
     space = build_space(n)
     info = {
         "level": n,
@@ -227,6 +232,9 @@ def cmd_decompose(ctx, n, as_json, long_running):
     space = _cached_space(ctx.obj["cache"], n)
     try:
         classes = inv.level_data(n).classes
+    except AssertionError as exc:
+        click.echo(f"invariant violated: {exc}", err=True)
+        sys.exit(EXIT_VIOLATION)
     finally:
         _save_op_cache(space, ctx.obj["cache"])
     out = [{"label": f"{cls.label[0]}.{cls.label[1]}", "dim": cls.dimension}
@@ -355,6 +363,7 @@ def _scan_level(n, root):
 @click.pass_context
 def cmd_scan(ctx, n_min, n_max, as_json, long_running, threads):
     """Scan squarefree levels for classes with a deg/cong mismatch at 2."""
+    _require_level(n_min)
     levels = [n for n in range(n_min, n_max + 1) if is_squarefree(n)]
     for n in levels:
         _gate_long_running(n, long_running)

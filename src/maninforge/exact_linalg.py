@@ -395,32 +395,20 @@ def _smallest_entry(A, t, nrows, ncols):
     return best
 
 
-def _snf_diagonal(A, track_cols=None):
-    """Diagonalize A in place; returns list of diagonal entries (positive).
-
-    track_cols, when given, is a pair (V, W) of square matrices (lists) over
-    the column space with W = V^-1; column operations are mirrored there.
-    """
+def snf(m):
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
+    A = [list(r) for r in m.data]
     nrows = len(A)
     ncols = len(A[0]) if A else 0
-    V, W = track_cols if track_cols is not None else (None, None)
 
     def col_op_add(src, dst, q):
         # column dst += q * column src
         for row in A:
             row[dst] += q * row[src]
-        if V is not None:
-            for row in V:
-                row[dst] += q * row[src]
-            W[src] = [x - q * y for x, y in zip(W[src], W[dst])]
 
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-            W[i], W[j] = W[j], W[i]
 
     diag = []
     t = 0
@@ -478,28 +466,7 @@ def _snf_diagonal(A, track_cols=None):
             A[t] = [-x for x in A[t]]
         diag.append(A[t][t])
         t += 1
-    return diag
-
-
-def snf(m):
-    """Invariant factors d1 | d2 | ... | dr of an integer matrix."""
-    A = [list(r) for r in m.data]
-    diag = _snf_diagonal(A)
     return tuple(diag)
-
-
-def snf_with_col_transform(m):
-    """SNF restricted data for quotient bookkeeping.
-
-    Returns (diag, V, Vinv) where U*M*V has the diagonal `diag` for some
-    unimodular U, and Vinv = V^-1.
-    """
-    A = [list(r) for r in m.data]
-    n = m.cols
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    diag = _snf_diagonal(A, track_cols=(V, W))
-    return tuple(diag), IntMatrix(n, n, V), IntMatrix(n, n, W)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +618,7 @@ def _matmul_mod(a, b, p):
 
 
 def _mod_p_product(p):
-    """(dtype, matmul): exact residue products modulo a prime p.
+    """(dtype, matmul): exact residue products modulo p, prime or not.
 
     matmul(a, b) is (a @ b) mod p for arrays of residues held in dtype:
     float64 through _matmul_mod when (p-1)^2 < 2^53, and Python-int object

@@ -8,8 +8,8 @@ and DVR tests, saturation, U_p signs).
 
 T and O_f share one ring representation: a Z-basis of matrices for their
 action on S (on S_f for O_f), plus structure constants built on first use.
-Products are contractions with the structure constants, and the
-reductions mod p used by the local diagnostics are those constants mod p.
+Products are contractions with the structure constants reduced modulo
+the working modulus: a prime p, or a power of p for the m-primary work.
 
 Large vectorized lattices are handled through a fixed set of pivot
 coordinates: the projection onto those coordinates is injective on the
@@ -81,7 +81,7 @@ __all__ = [
 ]
 
 _PIVOT_PRIME = 2147483629  # large prime for pivot-column selection
-_RESIDUE_CACHE_BYTES = 1 << 30  # budget of each ring's basis-residue cache
+_RESIDUE_CACHE_BYTES = 1 << 30  # budget of each of a ring's residue caches
 
 
 def sturm_bound(n):
@@ -147,8 +147,8 @@ class _BasisRing:
     Elements are coordinate vectors in `basis_mats`, which act on a lattice
     of rank `dim_s`; `_solver` recovers coordinates from a matrix through
     pivot columns.  Products use the structure constants `mult_table`,
-    built on first use, so no matrix is formed per product; the reductions
-    mod p (`_ModPAlgebra`) read the same table.
+    built on first use, so no matrix is formed per product; every product
+    is taken modulo some q (`mult_coords`), from the table reduced mod q.
     """
 
     def coords_of(self, mat, verify=False):
@@ -171,25 +171,11 @@ class _BasisRing:
         """(largest basis entry, residues).
 
         residues(p) is the basis modulo a word prime p as a (rank, dim_s^2)
-        int32 array, read from _basis_reducer and kept per prime up to a
-        byte budget.
+        int32 array, read from _basis_reducer (_residue_cache).
         """
         bmax = max((m.max_abs() for m in self.basis_mats), default=0)
-        # bound here, not read through self in the closure: a closure over
-        # self is a reference cycle, which keeps a dropped ring's residue
-        # cache alive until the cyclic garbage collector runs
         reduce = self._basis_reducer.mod
-        cache = {}
-
-        def residues(p):
-            rp = cache.get(p)
-            if rp is None:
-                rp = reduce(p).astype(np.int32)  # p < 2^20
-                if (len(cache) + 1) * rp.nbytes <= _RESIDUE_CACHE_BYTES:
-                    cache[p] = rp
-            return rp
-
-        return bmax, residues
+        return bmax, _residue_cache(lambda p: reduce(p).astype(np.int32))
 
     @cached_property
     def _basis_reducer(self):
@@ -251,26 +237,47 @@ class _BasisRing:
         return tuple(tuple(row) for row in table)
 
     @cached_property
-    def _table_array(self):
-        """mult_table as a (d, d*d) array, int64 when it fits, and its max."""
-        tmax = max((abs(c) for row in self.mult_table for cell in row
-                    for c in cell), default=0)
-        arr = np.array(self.mult_table,
-                       dtype=np.int64 if tmax < 2**63 else object)
-        return arr.reshape(self.rank, -1), tmax
-
-    def mult_coords(self, x, y):
-        """Coordinates of x * y: the sum of x_i y_j mult_table[i][j]."""
-        table, tmax = self._table_array
+    def _table_residues(self):
+        """residues(q): mult_table modulo q as a (rank, rank^2) array, in
+        the dtype of _mod_p_product(q) (_residue_cache)."""
         d = self.rank
-        # every partial sum is bounded by d^2 * max|x| * max|y| * max|table|
-        bound = (d * d * tmax * max(map(abs, x), default=0)
-                 * max(map(abs, y), default=0))
-        dtype = np.int64 if bound < 2**63 else object
-        xv = np.array([int(c) for c in x], dtype=dtype)
-        yv = np.array([int(c) for c in y], dtype=dtype)
-        xt = (xv @ table.astype(dtype, copy=False)).reshape(d, d)
-        return (yv @ xt).tolist()
+        reduce = _ModReducer(self.mult_table, (d, d * d)).mod
+        return _residue_cache(
+            lambda q: reduce(q).astype(_mod_p_product(q)[0]))
+
+    def mult_matrix(self, x, q):
+        """The matrix of y -> y * x modulo q on coordinates: row i holds the
+        coordinates of b_i * x, x contracted with the table."""
+        dtype, matmul = _mod_p_product(q)
+        xv = np.array([int(c) % q for c in x], dtype=dtype)
+        return matmul(xv, self._table_residues(q)).reshape(self.rank, -1)
+
+    def mult_coords(self, x, y, q):
+        """Coordinates of x * y modulo q."""
+        dtype, matmul = _mod_p_product(q)
+        yv = np.array([int(c) % q for c in y], dtype=dtype)
+        return matmul(yv, self.mult_matrix(x, q)).tolist()
+
+
+def _residue_cache(reduce):
+    """reduce(q), kept per modulus q while the kept arrays fit in
+    _RESIDUE_CACHE_BYTES.
+
+    reduce must not close over its ring: that is a reference cycle, which
+    keeps a dropped ring's cache alive until the cyclic garbage collector
+    runs.
+    """
+    cache = {}
+
+    def residues(q):
+        rq = cache.get(q)
+        if rq is None:
+            rq = reduce(q)
+            if (len(cache) + 1) * rq.nbytes <= _RESIDUE_CACHE_BYTES:
+                cache[q] = rq
+        return rq
+
+    return residues
 
 
 @dataclass
@@ -828,19 +835,13 @@ class _ModPAlgebra:
     embedding degenerates mod p)."""
 
     def __init__(self, ring, p):
+        self.ring = ring
         self.p = p
-        self.d = ring.rank
-        table, _tmax = ring._table_array
         self.dtype, self.matmul = _mod_p_product(p)
-        self.table = np.mod(table, p).astype(self.dtype)
         self.unit = tuple(c % p for c in ring.unit_coords())
 
     def mul(self, x, y):
-        p, d, dtype = self.p, self.d, self.dtype
-        xv = np.array([int(c) % p for c in x], dtype=dtype)
-        yv = np.array([int(c) % p for c in y], dtype=dtype)
-        xt = self.matmul(xv, self.table).reshape(d, d)
-        return tuple(self.matmul(yv, xt).tolist())
+        return tuple(self.ring.mult_coords(x, y, self.p))
 
     def add(self, x, y):
         return tuple((a + b) % self.p for a, b in zip(x, y))
@@ -889,7 +890,7 @@ class _ModPAlgebra:
             echelon.append((v, nz, expr))
             cur = self.mul(cur, x)
             deg += 1
-            if deg > self.d + 1:
+            if deg > self.ring.rank + 1:
                 raise RuntimeError("minimal polynomial search overran")
 
     def eval_poly(self, coeffs, x, unit):
@@ -950,8 +951,7 @@ def maximal_ideals(ring, p):
     ideals = []
     for e in comps:
         # RREF basis of the component eA: the identity on its pivot columns
-        red, piv = _rref_mod_p(
-            [alg.mul(e, _unit_vec(ring.rank, i)) for i in range(ring.rank)], p)
+        red, piv = _rref_mod_p(ring.mult_matrix(e, p), p)
         c = len(piv)
         comp = red[:c].astype(alg.dtype)
         comp_basis = red[:c].tolist()
@@ -1106,12 +1106,10 @@ def _m_ideal_lattice(order, m):
     p = m.p
     rows = [[p if i == j else 0 for j in range(d)] for i in range(d)]
     # lifts of (1 - e) * basis and of the radical
-    alg = _ModPAlgebra(order, p)
-    one_minus_e = tuple((u - e) % p for u, e in zip(alg.unit, m.idempotent))
-    for i in range(d):
-        rows.append([int(c) for c in alg.mul(one_minus_e, _unit_vec(d, i))])
-    for rad in m.radical_basis:
-        rows.append([int(c) for c in rad])
+    one_minus_e = [(u - e) % p for u, e in zip(order.unit_coords(),
+                                                m.idempotent)]
+    rows += order.mult_matrix(one_minus_e, p).tolist()
+    rows += [list(rad) for rad in m.radical_basis]
     return IntLattice(d, rows)
 
 
@@ -1120,13 +1118,15 @@ def is_dvr(order, m):
     if not isinstance(order, OrderOf):
         raise ValueError("is_dvr expects an order")
     mm = _m_ideal_lattice(order, m)
-    # m^2: span of pairwise products of the generators of m
-    gens = [tuple(row) for row in mm.basis.data]
-    prod_rows = []
+    # m^2 is spanned by the pairwise products of the generators of m, and
+    # contains p^2 O since m contains pO: so the products are needed mod p^2
+    d, p2 = order.rank, m.p * m.p
+    gens = mm.basis.data
+    prod_rows = [[p2 if i == j else 0 for j in range(d)] for i in range(d)]
     for i, x in enumerate(gens):
         for y in gens[i:]:
-            prod_rows.append(list(order.mult_coords(x, y)))
-    m2 = IntLattice(order.rank, prod_rows)
+            prod_rows.append(order.mult_coords(x, y, p2))
+    m2 = IntLattice(d, prod_rows)
     factors, free = quotient_invariants(mm, m2)
     if free:
         raise ValueError("m^2 does not have finite index in m")
@@ -1206,8 +1206,8 @@ def u_p_unit_check(cls, p):
 def lift_idempotent(ring, m, modulus):
     """Lift the local idempotent of m to an idempotent of ring / modulus.
 
-    modulus must be a power of m.p; iterates e <- 3e^2 - 2e^3 with exact
-    integer coordinates until stable.
+    modulus must be a power of m.p; iterates e <- 3e^2 - 2e^3 modulo it
+    until stable.
     """
     p = m.p
     pk = modulus
@@ -1215,8 +1215,8 @@ def lift_idempotent(ring, m, modulus):
         raise ValueError("modulus must be a power of p")
     e = tuple(int(c) % pk for c in m.idempotent)
     for _ in range(200):
-        e2 = ring.mult_coords(e, e)
-        e3 = ring.mult_coords(tuple(c % pk for c in e2), e)
+        e2 = ring.mult_coords(e, e, pk)
+        e3 = ring.mult_coords(e2, e, pk)
         new = tuple((3 * a - 2 * b) % pk for a, b in zip(e2, e3))
         if new == e:
             return e

@@ -4,15 +4,18 @@ The congruence number cong_f is the order of T/(T[e_f] + T[e_perp]); the
 modular degree deg_f is the square root of the order of the analogous
 congruence module of the cuspidal lattice S (that order is asserted to be
 a perfect square — a hard internal tripwire).  Local (m-primary) orders
-are extracted by decomposing the finite congruence module under lifted
-idempotents of T/p^k, and the certification / anomaly pipelines check the
-divisibility and equality relations these invariants must satisfy.
+are indices modulo p^k: the image of a lifted idempotent of T/p^k in the
+congruence module mod p^k, one modular HNF each.  The certification /
+anomaly pipelines check the divisibility and equality relations these
+invariants must satisfy.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
+
+import numpy as np
 
 _logger = logging.getLogger(__name__)
 
@@ -20,18 +23,18 @@ from .exact_linalg import (
     IntLattice,
     IntMatrix,
     InvariantViolation,
+    hnf_with_modulus,
     idempotent_kernel_sublattice,
+    _mod_p_product,
     _rref_mod_p,
     kernel_saturated,
     lattice_sum,
     quotient_invariants,
     restrict_operator,
-    snf_with_col_transform,
 )
 from .hecke_algebra import (
     _ModPAlgebra,
     _exact_quotient,
-    _unit_vec,
     build_hecke_algebra,
     decompose_new,
     poly_kernel_saturated,
@@ -85,7 +88,7 @@ class LevelData:
         self._t_kernels = {}
         self._cong_reports = {}
         self._max_ideals = {}
-        self._presentations = {}
+        self._order_ideals = {}
         self._reports = {}
 
     def order(self, cls):
@@ -124,6 +127,13 @@ class LevelData:
             self._max_ideals[p] = maximal_ideals(self.algebra, p)
         return self._max_ideals[p]
 
+    def order_ideals(self, cls, p):
+        """The maximal ideals of O_f over p, computed once."""
+        key = (cls.label, p)
+        if key not in self._order_ideals:
+            self._order_ideals[key] = maximal_ideals(self.order(cls), p)
+        return self._order_ideals[key]
+
 
 @lru_cache(maxsize=8)
 def level_data(n):
@@ -147,8 +157,6 @@ def _annihilator_of(algebra, sublattice):
     annihilator; the final bound-aware multimodular check that it kills
     all of R proves the reverse inclusion.
     """
-    import numpy as np
-
     from .exact_linalg import _crt_rows, _matmul_mod, _ModReducer, _word_primes
 
     d = algebra.rank
@@ -237,7 +245,6 @@ class CongModuleReport:
     invariant_factors: tuple
     total_order: int
     p_parts: dict  # p -> p-part of the total order
-    m_orders: dict = field(default_factory=dict)  # MaxIdeal-keyed orders
 
     def check(self):
         if self.invariant_factors is not None:
@@ -345,105 +352,56 @@ def _t_congruence_report(data, cls):
 # m-primary orders via lifted idempotents
 
 
-def _finite_module_presentation(big_rank, sum_lattice):
-    """SNF model of Z^r / K: (diag, V, Vinv) with the quotient = ⊕ Z/diag_i."""
-    basis = sum_lattice.basis
-    if basis.rows != big_rank:
-        raise ValueError("congruence module is not finite")
-    return snf_with_col_transform(basis)
-
-
-def _subgroup_order_in_p_part(diag, p, image_rows):
-    """Order of the subgroup generated by image_rows inside ⊕ Z/p^{a_i}.
-
-    diag are the invariant factors; image_rows are vectors in the p-part
-    coordinates (entry j taken mod p^{a_j}).
-    """
-    from .exact_linalg import _hnf_rows
-
-    a = [_ord_p(d, p) for d in diag]
-    idx = [j for j, e in enumerate(a) if e > 0]
-    if not idx:
-        return 1
-    moduli = [p ** a[j] for j in idx]
-    rows = [[row[t] % moduli[t] for t in range(len(idx))] for row in image_rows]
-    for t, m in enumerate(moduli):
-        rows.append([m if s == t else 0 for s in range(len(idx))])
-    H, r, _ = _hnf_rows(rows, ncols=len(idx))
-    if r != len(idx):
-        raise InvariantViolation(
-            f"relations of the {p}-part do not have full rank")
-    det = 1
-    for i in range(r):
-        piv = next(x for x in H[i] if x)
-        det *= piv
-    total = 1
-    for m in moduli:
-        total *= m
-    if total % det:
-        raise InvariantViolation(
-            f"relation index {det} does not divide the {p}-part order {total}")
-    return total // det
-
-
 def _m_primary_orders(data, cls, p, carrier):
     """Orders of the m-primary pieces of a congruence module, per MaxIdeal.
 
     carrier "T" uses the T-congruence module (cong), "S" the S-module
     (square of deg).  Returns {MaxIdeal index: order} aligned with
     data.max_ideals(p).
+
+    The module is M = Z^r / K with K = K1 + K2 the two kernel lattices.
+    Its p-part M_p has order p^a (from cong_report), so with q = p^(a+1)
+    M_p is M / qM (the part prime to p is divisible by q), and the lift e
+    of the idempotent of m to T / q acts on it as x -> x * E.  The
+    m-primary piece e M_p is then Z^r / (K + (1 - E) Z^r + q Z^r), whose
+    order is the product of the diagonal of a modular HNF.  H, the HNF of
+    K + q Z^r, is found once.  A column c where H has pivot 1 carries
+    nothing: x and x - x_c H[c] agree in the quotient, and H, being
+    reduced, is zero on the other such columns.  So proj, which clears those
+    columns, maps Z^r onto the live columns, where H's live block
+    presents M / qM, and each ideal costs one HNF of (I - E) proj there.
     """
     algebra = data.algebra
-    key = (cls.label, carrier)
-    if key not in data._presentations:
-        if carrier == "T":
-            t_ef, t_eperp = data.t_kernels(cls)
-            big_rank = algebra.rank
-            ksum = lattice_sum(t_ef, t_eperp)
-        else:
-            s_ef, s_eperp = data.s_kernels(cls)
-            big_rank = data.space.cuspidal_rank
-            ksum = lattice_sum(s_ef, s_eperp)
-        data._presentations[key] = _finite_module_presentation(big_rank, ksum)
-    diag, v, vinv = data._presentations[key]
-    p_exp = sum(_ord_p(d, p) for d in diag)
-    if p_exp == 0:
-        return {i: 1 for i in range(len(data.max_ideals(p)))}
-    pk = p ** (p_exp + 1)
-    a = [_ord_p(d, p) for d in diag]
-    idx = [j for j, e in enumerate(a) if e > 0]
+    ideals = data.max_ideals(p)
+    p_part = data.cong_report(cls, carrier).p_parts.get(p, 1)
+    if p_part == 1:
+        return {i: 1 for i in range(len(ideals))}
+    q = p * p_part
+    k1, k2 = data.t_kernels(cls) if carrier == "T" else data.s_kernels(cls)
+    r = k1.ambient_dim
+    h = hnf_with_modulus(list(k1.basis.data) + list(k2.basis.data), r, q)
+    live = [c for c in range(r) if h[c][c] != 1]
+    h_live = [[h[c][j] for j in live] for c in live]
+    dtype, matmul = _mod_p_product(q)
+    proj = np.array([[(-h[c][j]) % q for j in live] if h[c][c] == 1 else
+                     [int(c == j) for j in live] for c in range(r)],
+                    dtype=dtype)
+    if carrier == "S":
+        acts = algebra._basis_reducer.mod(q).astype(dtype)
     out = {}
-    total_check = 1
-    for mi, m in enumerate(data.max_ideals(p)):
-        e_coords = lift_idempotent(algebra, m, pk)
+    for mi, m in enumerate(ideals):
+        e = lift_idempotent(algebra, m, q)
         if carrier == "T":
-            # action of e on T-coordinates: x -> coordinates of x * e
-            e_rows = [
-                list(algebra.mult_coords(_unit_vec(algebra.rank, i), e_coords))
-                for i in range(algebra.rank)
-            ]
-            e_mat = IntMatrix.from_rows(e_rows, algebra.rank)
+            e_mat = algebra.mult_matrix(e, q)
         else:
-            e_mat = algebra.matrix_of(e_coords)
-        e_c = vinv * e_mat * v
-        image_rows = []
-        for j in idx:
-            m_j = diag[j] // (p ** a[j])
-            row = []
-            for t in idx:
-                val = (m_j * e_c.data[j][t]) % diag[t]
-                m_t = diag[t] // (p ** a[t])
-                if val % m_t:
-                    raise AssertionError("idempotent image left the p-part")
-                row.append(val // m_t)
-            image_rows.append(row)
-        order = _subgroup_order_in_p_part(diag, p, image_rows)
-        out[mi] = order
-        total_check *= order
-    if total_check != p**p_exp:
-        raise AssertionError(
+            e_mat = matmul(np.array(e, dtype=dtype), acts).reshape(r, r)
+        rows = matmul((np.eye(r, dtype=dtype) - e_mat) % q, proj).tolist()
+        quot = hnf_with_modulus(rows + h_live, len(live), q)
+        out[mi] = prod(quot[i][i] for i in range(len(live)))
+    if prod(out.values()) != p_part:
+        raise InvariantViolation(
             f"m-primary orders do not multiply to the p-part at p={p}: "
-            f"{total_check} vs {p**p_exp}"
+            f"{prod(out.values())} vs {p_part}"
         )
     return out
 
@@ -482,7 +440,7 @@ def _match_order_ideal(data, cls, m_t):
         raise ValueError("T-idempotent image missing from the order")
     alg_o = _ModPAlgebra(order, p)
     x = tuple(int(c) % p for c in coords)
-    for m_o in maximal_ideals(order, p):
+    for m_o in data.order_ideals(cls, p):
         y = alg_o.mul(x, m_o.idempotent)
         rows = [list(v) for v in m_o.radical_basis] + [list(y)]
         if len(_rref_mod_p(rows, p)[1]) > len(m_o.radical_basis):

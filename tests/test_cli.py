@@ -6,9 +6,11 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from maninforge import invariants as inv
 from maninforge.cli import (
     EXIT_OK,
     EXIT_REFUSED,
+    EXIT_VIOLATION,
     _cuspidal_rank_estimate,
     _read_artifact,
     _write_artifact,
@@ -111,6 +113,35 @@ def test_certify_and_scan(runner):
     res = runner.invoke(main, ["scan", "11", "30"])
     assert res.exit_code == EXIT_OK
     assert "no anomalies" in res.output
+
+
+@pytest.mark.parametrize("args", [
+    ["space", "0"], ["decompose", "0"], ["certify", "0"],
+    ["invariants", "0"], ["scan", "0", "3"], ["scan", "--", "-4", "3"]])
+def test_level_below_one_is_refused(runner, args):
+    res = runner.invoke(main, args)
+    assert res.exit_code == EXIT_REFUSED
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip().splitlines() == ["level must be >= 1"]
+
+
+@pytest.mark.parametrize("args, stage", [
+    (["decompose", "11"], "level_data"),
+    (["invariants", "11"], "deg_cong_report"),
+    (["certify", "11"], "manin_certify"),
+    (["scan", "11", "11"], "anomaly_scan")])
+def test_invariant_violation_exits_2(runner, monkeypatch, args, stage):
+    from maninforge.exact_linalg import InvariantViolation
+
+    def violated(*_args, **_kwargs):
+        raise InvariantViolation("planted violation")
+
+    monkeypatch.setattr(inv, stage, violated)
+    res = runner.invoke(main, args)
+    assert res.exit_code == EXIT_VIOLATION
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.output.strip().splitlines() == [
+        "invariant violated: planted violation"]
 
 
 def test_long_running_gate(runner):

@@ -26,7 +26,6 @@ from maninforge.exact_linalg import (
     restrict_operator,
     saturate,
     snf,
-    snf_with_col_transform,
     sublattice_index,
 )
 
@@ -104,22 +103,6 @@ def test_snf_divisibility_and_det():
             assert prod == abs(det(m))
         else:
             assert det(m) == 0
-
-
-def test_snf_with_col_transform_models_quotient():
-    rng = random.Random(3)
-    for _ in range(20):
-        m = rand_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        diag, v, vinv = snf_with_col_transform(m)
-        assert v * vinv == IntMatrix.identity(m.cols)
-        h = hb(m * v)
-        h2 = hb(
-            IntMatrix.from_rows(
-                [[diag[i] if i == j else 0 for j in range(m.cols)] for i in range(len(diag))],
-                m.cols,
-            )
-        )
-        assert h == h2
 
 
 def test_kernel_saturated_spec_example():

@@ -1,5 +1,6 @@
 """Tests for the Hecke algebra, newform decomposition, and local structure."""
 
+import numpy as np
 import pytest
 
 from maninforge.exact_linalg import IntMatrix, restrict_operator
@@ -169,7 +170,7 @@ def test_lift_idempotent_is_idempotent_mod_pk():
         for m in maximal_ideals(alg, p):
             pk = p**6
             e = lift_idempotent(alg, m, pk)
-            e2 = tuple(c % pk for c in alg.mult_coords(e, e))
+            e2 = tuple(alg.mult_coords(e, e, pk))
             assert e2 == tuple(c % pk for c in e)
     # the lifts over a fixed p sum to the identity mod p^k
     for p in [2, 3]:
@@ -251,7 +252,7 @@ def test_closure_is_exact_at_102():
 def test_structure_constants_match_matrix_products(n):
     import random
 
-    from maninforge.exact_linalg import _rref_mod_p
+    from maninforge.exact_linalg import _mod_p_product, _rref_mod_p
     from maninforge.hecke_algebra import _PIVOT_PRIME, _ModPAlgebra
 
     sp = build_space(n)
@@ -262,9 +263,13 @@ def test_structure_constants_match_matrix_products(n):
     assert (saturation_index(alg) > 1) == (n == 46)
     assert (len(_rref_mod_p(rows, 2)[1]) < alg.rank) == (n == 46)
     rings = [alg] + [order_of(alg, cls) for cls in decompose_new(sp, alg)]
+    # prime powers on both product paths: 2^23 on float64, 3^18 (past
+    # 2^27) and _PIVOT_PRIME past exact float64 products, on Python ints
+    powers = (2**23, 3**18)
+    assert _mod_p_product(2**23)[0] is np.float64
+    assert _mod_p_product(3**18)[0] is object
     rng = random.Random(n)
     for ring in rings:
-        # _PIVOT_PRIME is past exact float64 products: Python-int path
         mod_p = {p: _ModPAlgebra(ring, p) for p in (2, 3, 5, _PIVOT_PRIME)}
         for _ in range(20):
             x = [rng.randint(-40, 40) for _ in range(ring.rank)]
@@ -272,7 +277,8 @@ def test_structure_constants_match_matrix_products(n):
             want = ring.coords_of(ring.matrix_of(x) * ring.matrix_of(y),
                                   verify=True)
             assert want is not None
-            assert ring.mult_coords(x, y) == want
+            for q in powers:
+                assert ring.mult_coords(x, y, q) == [c % q for c in want]
             for p, alg_p in mod_p.items():
                 assert alg_p.mul(x, y) == tuple(c % p for c in want)
 

@@ -98,6 +98,66 @@ def test_m_primary_orders_multiply_to_global():
             assert deg_p == p**ord_d
 
 
+@pytest.mark.parametrize("n", [57, 66, 86])
+def test_m_primary_orders_match_sympy_smith_form(n):
+    # oracle: the order of e M_p is the product of the Smith invariants of
+    # [K; I - E; qI], with E the action of the lifted idempotent formed
+    # from exact matrix products and sympy's Smith form over Z
+    from math import prod
+
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    from maninforge.hecke_algebra import lift_idempotent
+    from maninforge.invariants import _m_primary_orders
+
+    data = level_data(n)
+    alg = data.algebra
+    checked = set()
+    for cls in data.classes:
+        for carrier in "TS":
+            k1, k2 = (data.t_kernels(cls) if carrier == "T"
+                      else data.s_kernels(cls))
+            r = k1.ambient_dim
+            p_parts = data.cong_report(cls, carrier).p_parts
+            for p, p_part in p_parts.items():
+                q = p * p_part
+                orders = _m_primary_orders(data, cls, p, carrier)
+                for mi, m in enumerate(data.max_ideals(p)):
+                    e_mat = alg.matrix_of(lift_idempotent(alg, m, q))
+                    if carrier == "T":
+                        e_rows = [alg.coords_of(b * e_mat, verify=True)
+                                  for b in alg.basis_mats]
+                    else:
+                        e_rows = e_mat.data
+                    stacked = (
+                        [list(row) for row in k1.basis.data + k2.basis.data]
+                        + [[(int(i == j) - x) % q for j, x in enumerate(row)]
+                           for i, row in enumerate(e_rows)]
+                        + [[q * int(i == j) for j in range(r)]
+                           for i in range(r)])
+                    smith = smith_normal_form(Matrix(stacked), domain=ZZ)
+                    want = prod(abs(int(smith[i, i])) for i in range(r))
+                    assert orders[mi] == want, (cls.label, carrier, p, mi)
+                    checked.add(carrier)
+    assert checked == {"T", "S"}
+
+
+def test_m_primary_product_tripwire_raises(monkeypatch):
+    # a zero idempotent gives every m-primary piece order 1, so the product
+    # check against the p-part of the congruence module must fire
+    from maninforge import invariants as inv
+    from maninforge.exact_linalg import InvariantViolation
+
+    data = level_data(57)
+    cls, p = next((c, p) for c in data.classes
+                  for p in data.cong_report(c, "S").p_parts)
+    monkeypatch.setattr(inv, "lift_idempotent",
+                        lambda ring, m, q: (0,) * ring.rank)
+    with pytest.raises(InvariantViolation, match="do not multiply"):
+        inv._m_primary_orders(data, cls, p, "S")
+
+
 def test_manin_certify_small_levels():
     for n in [11, 26, 37, 57]:
         certs = manin_certify(n)
