@@ -1,8 +1,12 @@
 """Command-line front end with persistent operator caching.
 
 Exit-code contract: 0 = all checks pass, 2 = a theorem-level invariant was
-violated (hard internal assertion), 3 = applicability refused (guard
-violation such as a non-squarefree level or a missing --long-running flag).
+violated (hard internal assertion) or the level could not be computed (a
+certified step failed: no separating element, a kernel that did not
+certify, a congruence module that is not finite), 3 = applicability
+refused (guard violation such as a non-squarefree level or a missing
+--long-running flag).  Exit 2 always comes with one stderr line naming
+the cause.
 """
 
 import hashlib
@@ -11,6 +15,7 @@ import os
 import sys
 import tempfile
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import click
@@ -196,6 +201,26 @@ def _cached_space(root, n):
     return space
 
 
+def _computed(n, compute, space=None, root=None):
+    """compute(), with every pipeline failure at level n mapped to exit 2.
+
+    An invariant violation (AssertionError) and a computation that could
+    not finish (ValueError, ArithmeticError) each print one stderr line.
+    The operators of space, when given, are saved under root either way.
+    """
+    try:
+        return compute()
+    except AssertionError as exc:
+        click.echo(f"invariant violated: {exc}", err=True)
+        sys.exit(EXIT_VIOLATION)
+    except (ValueError, ArithmeticError) as exc:
+        click.echo(f"could not compute at level {n}: {exc}", err=True)
+        sys.exit(EXIT_VIOLATION)
+    finally:
+        if space is not None:
+            _save_op_cache(space, root)
+
+
 @main.command("space")
 @click.argument("n", type=int)
 @click.option("--json", "as_json", is_flag=True)
@@ -229,14 +254,9 @@ def cmd_decompose(ctx, n, as_json, long_running):
     """List the newform classes at squarefree level n."""
     _require_squarefree(n)
     _gate_long_running(n, long_running)
-    space = _cached_space(ctx.obj["cache"], n)
-    try:
-        classes = inv.level_data(n).classes
-    except AssertionError as exc:
-        click.echo(f"invariant violated: {exc}", err=True)
-        sys.exit(EXIT_VIOLATION)
-    finally:
-        _save_op_cache(space, ctx.obj["cache"])
+    root = ctx.obj["cache"]
+    space = _cached_space(root, n)
+    classes = _computed(n, lambda: inv.level_data(n).classes, space, root)
     out = [{"label": f"{cls.label[0]}.{cls.label[1]}", "dim": cls.dimension}
            for cls in classes]
     if as_json:
@@ -264,15 +284,10 @@ def cmd_invariants(ctx, n, as_json, class_index, primes, long_running):
     prime_list = None
     if primes:
         prime_list = sorted({_parse_prime(p) for p in primes.split(",")})
-    space = _cached_space(ctx.obj["cache"], n)
-    try:
-        reports = inv.deg_cong_report(n, primes=prime_list,
-                                      class_index=class_index)
-    except AssertionError as exc:
-        click.echo(f"invariant violated: {exc}", err=True)
-        sys.exit(EXIT_VIOLATION)
-    finally:
-        _save_op_cache(space, ctx.obj["cache"])
+    root = ctx.obj["cache"]
+    space = _cached_space(root, n)
+    reports = _computed(n, lambda: inv.deg_cong_report(
+        n, primes=prime_list, class_index=class_index), space, root)
     doc = inv.report_to_json(n, reports)
     if as_json:
         click.echo(json.dumps(doc, indent=2))
@@ -300,14 +315,9 @@ def cmd_certify(ctx, n, as_json, long_running):
     """Check deg_f = cong_f prime-by-prime for dimension-1 classes."""
     _require_squarefree(n)
     _gate_long_running(n, long_running)
-    space = _cached_space(ctx.obj["cache"], n)
-    try:
-        certs = inv.manin_certify(n)
-    except AssertionError as exc:
-        click.echo(f"invariant violated: {exc}", err=True)
-        sys.exit(EXIT_VIOLATION)
-    finally:
-        _save_op_cache(space, ctx.obj["cache"])
+    root = ctx.obj["cache"]
+    space = _cached_space(root, n)
+    certs = _computed(n, lambda: inv.manin_certify(n), space, root)
     doc = {
         "level": n,
         "certificates": [
@@ -367,18 +377,16 @@ def cmd_scan(ctx, n_min, n_max, as_json, long_running, threads):
     levels = [n for n in range(n_min, n_max + 1) if is_squarefree(n)]
     for n in levels:
         _gate_long_running(n, long_running)
-    roots = [ctx.obj["cache"]] * len(levels)
-    try:
-        if threads > 1:
-            from concurrent.futures import ProcessPoolExecutor
+    root = ctx.obj["cache"]
+    if threads > 1:
+        from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = dict(zip(levels, pool.map(_scan_level, levels, roots)))
-        else:
-            results = dict(zip(levels, map(_scan_level, levels, roots)))
-    except AssertionError as exc:
-        click.echo(f"invariant violated: {exc}", err=True)
-        sys.exit(EXIT_VIOLATION)
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(_scan_level, n, root) for n in levels]
+        scans = [fut.result for fut in futures]
+    else:
+        scans = [partial(_scan_level, n, root) for n in levels]
+    results = {n: _computed(n, scan) for n, scan in zip(levels, scans)}
     doc = {
         "range": [n_min, n_max],
         "anomalies": [

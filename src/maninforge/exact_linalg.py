@@ -1,4 +1,4 @@
-"""Exact linear algebra over Z and Q: normal forms, kernels, lattice calculus.
+"""Exact linear algebra over Z: normal forms, kernels, lattice calculus.
 
 Everything here is arbitrary precision.  Matrices are immutable; all
 functions are pure, so concurrent use is safe.  Lattices are kept in a
@@ -6,7 +6,6 @@ canonical row Hermite normal form, which makes equality bit-identical.
 """
 
 import logging
-from fractions import Fraction
 from functools import cache, partial
 from itertools import takewhile
 from math import gcd
@@ -18,16 +17,12 @@ _logger = logging.getLogger(__name__)
 __all__ = [
     "InvariantViolation",
     "IntMatrix",
-    "RatMatrix",
     "IntLattice",
     "hnf",
     "snf",
     "kernel_saturated",
-    "lattice_sum",
     "lattice_intersect",
-    "sublattice_index",
     "quotient_invariants",
-    "idempotent_kernel_sublattice",
     "saturate",
     "det",
     "primes_upto",
@@ -156,8 +151,6 @@ class IntMatrix:
             raise ValueError("shape mismatch")
 
     def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            return RatMatrix.from_int_matrix(self) * other
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -195,115 +188,6 @@ class IntMatrix:
             raise ValueError("entry count does not match header")
         data = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
         return cls(rows, cols, data)
-
-
-class RatMatrix:
-    """Dense matrix of exact rationals, entries in lowest terms."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data):
-        data = tuple(tuple(Fraction(x) for x in row) for row in data)
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("entry count does not match shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatMatrix is immutable")
-
-    def __reduce__(self):
-        return (self.__class__, (self.rows, self.cols, self.data))
-
-    @classmethod
-    def from_rows(cls, rows, cols=None):
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer column count from empty rows")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    @classmethod
-    def from_int_matrix(cls, m):
-        return cls(m.rows, m.cols, m.data)
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols})"
-
-    def __add__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
-
-    def __sub__(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return RatMatrix(
-            self.rows, self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return RatMatrix(self.rows, self.cols, [[c * x for x in row] for row in self.data])
-
-    def __mul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = RatMatrix.from_int_matrix(other)
-        if not isinstance(other, RatMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        bt = list(zip(*other.data))
-        out = [
-            [sum(x * y for x, y in zip(row, col)) for col in bt]
-            for row in self.data
-        ]
-        return RatMatrix(self.rows, other.cols, out)
-
-    def is_idempotent(self):
-        return self.rows == self.cols and self * self == self
-
-    def clear_denominators(self):
-        """Return (M, d) with M integral and self == M / d, d > 0 minimal."""
-        d = 1
-        for row in self.data:
-            for x in row:
-                d = d * x.denominator // gcd(d, x.denominator)
-        m = IntMatrix(self.rows, self.cols,
-                      [[int(x * d) for x in row] for row in self.data])
-        return m, d
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +354,25 @@ def snf(m):
 
 
 # ---------------------------------------------------------------------------
-# Determinant and rank
+# Determinant
 
 
-def _det_bareiss(data):
-    n = len(data)
+def det(m):
+    """Exact determinant by fraction-free (Bareiss) elimination.
+
+    Every intermediate is a minor of m, so entries stay bounded by
+    Hadamard's bound and every division is exact.  There is no
+    multimodular route above some size: it runs one elimination per word
+    prime until their product passes twice the Hadamard bound, and on the
+    rank-154 congruence modules of level 390 that was slower than this
+    single elimination.
+    """
+    if m.rows != m.cols:
+        raise ValueError("determinant of non-square matrix")
+    n = m.rows
     if n == 0:
         return 1
-    A = [list(r) for r in data]
+    A = [list(r) for r in m.data]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -493,28 +388,6 @@ def _det_bareiss(data):
             A[i][k] = 0
         prev = A[k][k]
     return sign * A[n - 1][n - 1]
-
-
-def _hadamard_bound(data):
-    bound = 1
-    for row in data:
-        s = sum(x * x for x in row)
-        bound *= max(s, 1)
-    # ceil sqrt of the product
-    r = int(bound ** 0.5) if bound < 2**52 else None
-    if r is None:
-        lo, hi = 0, 1 << ((bound.bit_length() + 1) // 2 + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid * mid >= bound:
-                hi = mid
-            else:
-                lo = mid + 1
-        r = lo
-    else:
-        while r * r < bound:
-            r += 1
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -701,51 +574,6 @@ class _ModReducer:
                          for i in range(self._limbs.shape[1])], dtype=dtype)
 
 
-def _det_mod_p_numpy(a, p):
-    """Determinant mod p of an int64 array already reduced mod p (p < 2^20)."""
-    a = np.array(a, dtype=np.int64)
-    n = a.shape[0]
-    det = 1
-    for k in range(n):
-        nz = np.nonzero(a[k:, k])[0]
-        if len(nz) == 0:
-            return 0
-        i = k + int(nz[0])
-        if i != k:
-            a[[k, i]] = a[[i, k]]
-            det = -det
-        akk = int(a[k, k])
-        det = det * akk % p
-        inv = pow(akk, p - 2, p)
-        rows = a[k + 1:]
-        f = rows[:, k] * inv % p
-        rows -= np.outer(f, a[k])
-        rows %= p
-    return det % p
-
-
-def _det_multimodular(data):
-    bound = 2 * _hadamard_bound(data) + 1
-    reducer = _ModReducer(data)
-    parts = []
-    modulus = 1
-    for p in _word_primes():
-        parts.append((p, np.array([[_det_mod_p_numpy(reducer.mod(p), p)]])))
-        modulus *= p
-        if modulus > bound:
-            break
-    return _crt_rows(parts, modulus)[0][0]
-
-
-def det(m):
-    """Exact determinant; multimodular CRT above dimension 64."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of non-square matrix")
-    if m.rows <= 64:
-        return _det_bareiss(m.data)
-    return _det_multimodular(m.data)
-
-
 # ---------------------------------------------------------------------------
 # Lattices
 
@@ -812,22 +640,6 @@ class IntLattice:
         return cls(ambient, basis.data)
 
 
-def _solve_hnf(hnf_rows_, pivots, target):
-    """Solve x * H = target for x (Fractions); None if unsolvable."""
-    t = [Fraction(v) for v in target]
-    x = [Fraction(0)] * len(hnf_rows_)
-    for i, (row, p) in enumerate(zip(hnf_rows_, pivots)):
-        if t[p]:
-            c = t[p] / row[p]
-            x[i] = c
-            for j in range(p, len(t)):
-                if row[j]:
-                    t[j] -= c * row[j]
-    if any(t):
-        return None
-    return x
-
-
 def _solve_hnf_int(hnf_rows_, pivots, target):
     """Integer solve x * H = target for an integer target; None if unsolvable."""
     t = list(target)
@@ -856,33 +668,19 @@ def _pivots(rows):
 
 
 def coordinates_of(lattice, vectors):
-    """Integer coordinates of vectors in the lattice basis; None if outside."""
+    """Integer coordinates of vectors in the lattice basis; None if outside.
+
+    A vector with a non-integral entry is outside: that entry survives the
+    integer elimination, as a pivot that does not divide it or as a
+    nonzero residue.
+    """
     rows = [list(r) for r in lattice.basis.data]
     piv = _pivots(rows)
     out = []
     for v in vectors:
         if len(v) != lattice.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if all(isinstance(c, int) for c in v):
-            x = _solve_hnf_int(rows, piv, v)
-            if x is None:
-                return None
-            out.append(x)
-            continue
-        x = _solve_hnf(rows, piv, v)
-        if x is None or any(c.denominator != 1 for c in x):
-            return None
-        out.append([int(c) for c in x])
-    return out
-
-
-def rational_coordinates_of(lattice, vectors):
-    """Rational coordinates in the lattice basis; None if outside the span."""
-    rows = [list(r) for r in lattice.basis.data]
-    piv = _pivots(rows)
-    out = []
-    for v in vectors:
-        x = _solve_hnf(rows, piv, v)
+        x = _solve_hnf_int(rows, piv, v)
         if x is None:
             return None
         out.append(x)
@@ -1202,14 +1000,6 @@ def _is_standard_lattice(l):
     )
 
 
-def lattice_sum(l1, l2):
-    if l1.ambient_dim != l2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if _is_standard_lattice(l1) or _is_standard_lattice(l2):
-        return IntLattice.standard(l1.ambient_dim)
-    return IntLattice(l1.ambient_dim, list(l1.basis.data) + list(l2.basis.data))
-
-
 def lattice_intersect(l1, l2):
     if l1.ambient_dim != l2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -1232,55 +1022,18 @@ def lattice_intersect(l1, l2):
     return IntLattice(l1.ambient_dim, rows)
 
 
-def _coordinate_matrix(l_sub, l):
-    if l_sub.ambient_dim != l.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    coords = coordinates_of(l, [list(r) for r in l_sub.basis.data])
-    if coords is None:
-        raise ValueError("not a sublattice")
-    return IntMatrix.from_rows(coords, l.rank) if coords else IntMatrix.zeros(0, l.rank)
-
-
-def sublattice_index(l_sub, l):
-    """Index [L : L_sub]; raises if not a finite-index sublattice."""
-    x = _coordinate_matrix(l_sub, l)
-    if l_sub.rank != l.rank:
-        raise ValueError("infinite index: rank drop")
-    d = abs(det(x))
-    if d == 0:
-        raise ValueError("infinite index: rank drop")
-    return d
-
-
 def quotient_invariants(l, l_sub):
     """Elementary divisors (> 1) of L / L_sub, and the free rank.
 
     Returns (factors, free_rank).
     """
-    x = _coordinate_matrix(l_sub, l)
-    factors = [d for d in snf(x) if d > 1]
+    if l_sub.ambient_dim != l.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    coords = coordinates_of(l, [list(r) for r in l_sub.basis.data])
+    if coords is None:
+        raise ValueError("not a sublattice")
+    factors = [d for d in snf(IntMatrix.from_rows(coords, l.rank)) if d > 1]
     return tuple(factors), l.rank - l_sub.rank
-
-
-def idempotent_kernel_sublattice(lattice, e):
-    """L[e] = L ∩ Ker(e) for an exact rational idempotent e on the ambient."""
-    if not isinstance(e, RatMatrix):
-        e = RatMatrix.from_int_matrix(e)
-    if e.rows != e.cols or e.rows != lattice.ambient_dim:
-        raise ValueError("idempotent must act on the ambient space")
-    if not e.is_idempotent():
-        raise ValueError("matrix is not idempotent")
-    if lattice.rank == 0:
-        return lattice
-    be = RatMatrix.from_int_matrix(lattice.basis) * e
-    m, _d = be.clear_denominators()
-    # kernel in basis coordinates: {t : t * (B e) = 0}
-    k = kernel_saturated(m.transpose())
-    rows = [
-        [sum(c * b for c, b in zip(t, col)) for col in zip(*lattice.basis.data)]
-        for t in k.basis.data
-    ]
-    return IntLattice(lattice.ambient_dim, rows)
 
 
 def complement_projection(lattice):

@@ -2,7 +2,7 @@
 
 Builds T as the Z-span of Hecke operators up to the Sturm bound (closed
 under multiplication), decomposes the new subspace into newform classes
-with exact rational idempotents, constructs the orders O_f, and runs the
+cut out by integer polynomial kernels, constructs the orders O_f, and runs the
 local ring diagnostics (maximal ideals, fiber/socle dimensions, Gorenstein
 and DVR tests, saturation, U_p signs).
 
@@ -20,7 +20,6 @@ reduce to a small triangular system, verified against the full matrices.
 import logging
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cache, cached_property, partial
 from operator import mul
 
@@ -32,7 +31,6 @@ from .exact_linalg import (
     IntLattice,
     IntMatrix,
     InvariantViolation,
-    RatMatrix,
     _crt_rows,
     _hnf_rows,
     _matmul_mod,
@@ -51,7 +49,6 @@ from .modsym import factorize, hecke, new_lattice
 from .polyarith import (
     FpPoly,
     charpoly_int,
-    crt_split,
     factor_fp,
     factor_q,
     squarefree_radical,
@@ -547,46 +544,6 @@ class NewformClass:
     separator: object = field(repr=False, default=None)  # t on S
     radical_full: object = field(repr=False, default=None)  # radical of charpoly(t | S)
     eigenvalues: dict = field(default_factory=dict)
-    _e_f: object = field(repr=False, default=None)
-    _e_perp: object = field(repr=False, default=None)
-
-    @property
-    def e_f(self):
-        """The exact rational idempotent cutting out this class."""
-        if self._e_f is None:
-            self._build_idempotent()
-        return self._e_f
-
-    @property
-    def e_perp(self):
-        if self._e_perp is None:
-            self._build_idempotent()
-        return self._e_perp
-
-    def _build_idempotent(self):
-        g = self.g_poly
-        rest = _exact_quotient(self.radical_full, g)
-        h, den = crt_split(g, rest)
-        num = h.evaluate_matrix(self.separator)
-        e = RatMatrix.from_rows(
-            [[Fraction(x, den) for x in row] for row in num.data]
-        )
-        if not e.is_idempotent():
-            raise ValueError("constructed projector is not idempotent")
-        ident = RatMatrix.identity(e.rows)
-        self._e_f = e
-        self._e_perp = ident - e
-
-
-def _exact_quotient(f, g):
-    """f / g for integer polynomials with exact division."""
-    fr, rem = f.to_rational().divmod(g.to_rational())
-    if not rem.is_zero():
-        raise ValueError("inexact polynomial division")
-    num, den = fr.clear_denominators()
-    if den != 1:
-        raise ValueError("inexact polynomial division")
-    return num
 
 
 def poly_kernel_saturated(t, g):

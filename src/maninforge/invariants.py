@@ -3,11 +3,13 @@
 The congruence number cong_f is the order of T/(T[e_f] + T[e_perp]); the
 modular degree deg_f is the square root of the order of the analogous
 congruence module of the cuspidal lattice S (that order is asserted to be
-a perfect square — a hard internal tripwire).  Local (m-primary) orders
-are indices modulo p^k: the image of a lifted idempotent of T/p^k in the
-congruence module mod p^k, one modular HNF each.  The certification /
-anomaly pipelines check the divisibility and equality relations these
-invariants must satisfy.
+a perfect square — a hard internal tripwire).  Both modules are
+Z^r/(K1 + K2) for two kernel lattices of complementary ranks that meet
+in 0, so each order is |det| of the stacked kernel bases.  Local
+(m-primary) orders are indices modulo p^k: the image of a lifted
+idempotent of T/p^k in the congruence module mod p^k, one modular HNF
+each.  The certification / anomaly pipelines check the divisibility and
+equality relations these invariants must satisfy.
 """
 
 import logging
@@ -23,18 +25,15 @@ from .exact_linalg import (
     IntLattice,
     IntMatrix,
     InvariantViolation,
+    det,
     hnf_with_modulus,
-    idempotent_kernel_sublattice,
     _mod_p_product,
     _rref_mod_p,
     kernel_saturated,
-    lattice_sum,
-    quotient_invariants,
     restrict_operator,
 )
 from .hecke_algebra import (
     _ModPAlgebra,
-    _exact_quotient,
     build_hecke_algebra,
     decompose_new,
     poly_kernel_saturated,
@@ -46,12 +45,12 @@ from .hecke_algebra import (
     u_p_unit_check,
 )
 from .modsym import build_space, factorize
+from .polyarith import _exact_poly_div
 
 __all__ = [
     "CongModuleReport",
     "DegCongReport",
     "ManinCertificate",
-    "congruence_module",
     "cong_number",
     "modular_degree",
     "deg_cong_report",
@@ -87,6 +86,7 @@ class LevelData:
         self._s_kernels = {}
         self._t_kernels = {}
         self._cong_reports = {}
+        self._m_primary = {}
         self._max_ideals = {}
         self._order_ideals = {}
         self._reports = {}
@@ -99,7 +99,9 @@ class LevelData:
     def s_kernels(self, cls):
         """(S[e_f], S[e_perp]) via integer polynomial kernels."""
         if cls.label not in self._s_kernels:
-            g_rest = _exact_quotient(cls.radical_full, cls.g_poly)
+            g_rest = _exact_poly_div(cls.radical_full, cls.g_poly)
+            if g_rest is None:
+                raise ValueError("inexact polynomial division")
             s_ef = poly_kernel_saturated(cls.separator, g_rest)
             self._s_kernels[cls.label] = (s_ef, cls.lattice)
         return self._s_kernels[cls.label]
@@ -121,6 +123,13 @@ class LevelData:
                      else _t_congruence_report)
             self._cong_reports[key] = build(self, cls)
         return self._cong_reports[key]
+
+    def m_primary_orders(self, cls, p, carrier):
+        """The m-primary orders of a class's "S" or "T" module over p, once."""
+        key = (cls.label, p, carrier)
+        if key not in self._m_primary:
+            self._m_primary[key] = _m_primary_orders(self, cls, p, carrier)
+        return self._m_primary[key]
 
     def max_ideals(self, p):
         if p not in self._max_ideals:
@@ -240,21 +249,12 @@ def _annihilator_of(algebra, sublattice):
 
 @dataclass
 class CongModuleReport:
-    carrier: str  # "T" | "S" | "lattice"
+    carrier: str  # "T" | "S"
     label: tuple
-    invariant_factors: tuple
     total_order: int
     p_parts: dict  # p -> p-part of the total order
 
     def check(self):
-        if self.invariant_factors is not None:
-            prod = 1
-            for f in self.invariant_factors:
-                prod *= f
-            if prod != self.total_order:
-                raise InvariantViolation(
-                    f"{self.carrier} module {self.label}: invariant factors "
-                    f"multiply to {prod}, not the order {self.total_order}")
         prod = 1
         for v in self.p_parts.values():
             prod *= v
@@ -264,55 +264,26 @@ class CongModuleReport:
                 f"{prod}, not the order {self.total_order}")
 
 
-def _module_report(carrier, label, big, small):
-    factors, free = quotient_invariants(big, small)
-    if free:
-        raise ValueError("congruence module is not finite")
-    total = 1
-    for f in factors:
-        total *= f
-    p_parts = {}
-    for p, e in factorize(total).items():
-        p_parts[p] = p**e
-    return CongModuleReport(carrier, label, tuple(factors), total, p_parts)
+def _cong_report(carrier, label, k1, k2):
+    """Report on Z^r / (K1 + K2) for two kernel lattices in Z^r.
 
-
-_BIG_MODULE = 120
-
-
-def _cong_report(carrier, label, big_rank, k1, k2):
-    """Report on Z^r / (K1 + K2) for two complementary kernel lattices.
-
-    At large ranks, when the two kernels have complementary ranks their
-    stacked bases generate the sum, so the order of the quotient is the
-    absolute determinant of the stack (no Smith form needed; the
-    invariant factors are then not reported).
+    K1 and K2 are the kernels of complementary idempotents, so they meet
+    in 0 and their ranks add up to r: the stacked bases are a basis of
+    K1 + K2, and the order of the quotient is the absolute determinant of
+    the stack, at every rank.  Ranks that do not add up to r are a
+    violated invariant; a zero determinant (K1 and K2 meet) leaves an
+    infinite module.
     """
-    if big_rank >= _BIG_MODULE and k1.rank + k2.rank == big_rank:
-        from .exact_linalg import _det_multimodular
-
-        stacked = list(k1.basis.data) + list(k2.basis.data)
-        d = _det_multimodular(stacked)
-        if d == 0:
-            raise ValueError("congruence module is not finite")
-        total = abs(d)
-        p_parts = {p: p**e for p, e in factorize(total).items()}
-        return CongModuleReport(carrier, label, None, total, p_parts)
-    return _module_report(carrier, label, IntLattice.standard(big_rank),
-                          lattice_sum(k1, k2))
-
-
-def congruence_module(m_lattice, e_f, carrier="lattice", label=()):
-    """Generic congruence module M/(M[e_f] + M[e_perp]) via idempotents."""
-    from .exact_linalg import RatMatrix
-
-    if not isinstance(e_f, RatMatrix):
-        raise ValueError("e_f must be a rational idempotent matrix")
-    ident = RatMatrix.identity(e_f.rows)
-    e_perp = ident - e_f
-    m_ef = idempotent_kernel_sublattice(m_lattice, e_f)
-    m_eperp = idempotent_kernel_sublattice(m_lattice, e_perp)
-    return _module_report(carrier, label, m_lattice, lattice_sum(m_ef, m_eperp))
+    r = k1.ambient_dim
+    if k1.rank + k2.rank != r:
+        raise InvariantViolation(
+            f"{carrier} module {label}: kernel ranks {k1.rank} + {k2.rank} "
+            f"are not complementary in rank {r}")
+    total = abs(det(IntMatrix.from_rows(k1.basis.data + k2.basis.data, r)))
+    if total == 0:
+        raise ValueError("congruence module is not finite")
+    p_parts = {p: p**e for p, e in factorize(total).items()}
+    return CongModuleReport(carrier, label, total, p_parts)
 
 
 def cong_number(algebra, cls):
@@ -328,22 +299,21 @@ def modular_degree(space, cls):
 def _s_congruence_report(data, cls):
     """The S-congruence report, whose order must be a perfect square."""
     s_ef, s_eperp = data.s_kernels(cls)
-    rep = _cong_report("S", cls.label, data.space.cuspidal_rank,
-                       s_ef, s_eperp)
+    rep = _cong_report("S", cls.label, s_ef, s_eperp)
     rep.check()
     root = isqrt(rep.total_order)
     if root * root != rep.total_order:
         raise AssertionError(
             "S-congruence module order is not a perfect square: "
             f"level {data.n} class {cls.label} order {rep.total_order} "
-            f"factors {rep.invariant_factors}"
+            f"p-parts {rep.p_parts}"
         )
     return rep
 
 
 def _t_congruence_report(data, cls):
     t_ef, t_eperp = data.t_kernels(cls)
-    rep = _cong_report("T", cls.label, data.algebra.rank, t_ef, t_eperp)
+    rep = _cong_report("T", cls.label, t_ef, t_eperp)
     rep.check()
     return rep
 
@@ -527,8 +497,8 @@ def deg_cong_report(n, analyze_ideals=True, primes=None, class_index=None):
         ]
         if analyze_ideals:
             for p in local_primes:
-                cong_orders = _m_primary_orders(data, cls, p, "T")
-                deg_orders = _m_primary_orders(data, cls, p, "S")
+                cong_orders = data.m_primary_orders(cls, p, "T")
+                deg_orders = data.m_primary_orders(cls, p, "S")
                 ideal_entries.extend(
                     _ideal_diagnostics(data, cls, p, cong_orders, deg_orders)
                 )
@@ -630,8 +600,8 @@ def divisibility_check(cls, m):
     if not is_dvr(order, m):
         return "not_applicable"
     p = m.p
-    cong_orders = _m_primary_orders(data, cls, p, "T")
-    deg_orders = _m_primary_orders(data, cls, p, "S")
+    cong_orders = data.m_primary_orders(cls, p, "T")
+    deg_orders = data.m_primary_orders(cls, p, "S")
     for mi, m_t in enumerate(data.max_ideals(p)):
         match = _match_order_ideal(data, cls, m_t)
         if match is not None and match.idempotent == m.idempotent:

@@ -1,12 +1,11 @@
-"""Exact univariate polynomial arithmetic.
+"""Exact univariate polynomial arithmetic over Z and F_p.
 
 Integer characteristic polynomials (multimodular), factorization over F_p
 (Cantor-Zassenhaus) and over Q (Zassenhaus: factor mod p, Hensel lift,
-subset recombination), and CRT idempotent construction in Q[x].
+subset recombination), and exact division and gcds in Z[x].
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations
 from math import gcd, comb
 
@@ -20,7 +19,6 @@ __all__ = [
     "charpoly_int",
     "factor_fp",
     "factor_q",
-    "crt_split",
     "squarefree_radical",
 ]
 
@@ -128,116 +126,6 @@ class IntPoly:
         for c in reversed(self.coeffs):
             acc = acc * m + ident.scale(c)
         return acc
-
-    def to_rational(self):
-        return RatPoly([Fraction(x) for x in self.coeffs])
-
-
-class RatPoly:
-    """Rational polynomial used internally for Q[x] Euclidean arithmetic."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatPoly is immutable")
-
-    def __reduce__(self):
-        return (self.__class__, (self.coeffs,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return RatPoly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                        for i in range(n)])
-
-    def __sub__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return RatPoly([(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)
-                        for i in range(n)])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatPoly([other * x for x in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return RatPoly([])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return RatPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i]:
-                c = rem[i] / lead
-                q[i - d] = c
-                for j, y in enumerate(other.coeffs):
-                    rem[i - d + j] -= c * y
-        return RatPoly(q), RatPoly(rem)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        inv = 1 / self.coeffs[-1]
-        return self * inv
-
-    def clear_denominators(self):
-        """Return (IntPoly, d) with self == poly / d."""
-        d = 1
-        for x in self.coeffs:
-            d = d * x.denominator // gcd(d, x.denominator)
-        return IntPoly([int(x * d) for x in self.coeffs]), d
-
-
-def rat_gcd(a, b):
-    """Monic gcd in Q[x]."""
-    while not b.is_zero():
-        _, r = a.divmod(b)
-        a, b = b, r
-    return a.monic()
-
-
-def rat_xgcd(a, b):
-    """(g, u, v) monic with u*a + v*b = g in Q[x]."""
-    r0, r1 = a, b
-    u0, u1 = RatPoly([1]), RatPoly([])
-    v0, v1 = RatPoly([]), RatPoly([1])
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    if r0.is_zero():
-        return r0, u0, v0
-    c = 1 / r0.coeffs[-1]
-    return r0 * c, u0 * c, v0 * c
 
 
 def squarefree_radical(f):
@@ -750,27 +638,6 @@ def factor_q(f):
         mult += 1
     out = sorted(result.items(), key=lambda t: (t[0].degree, t[0].coeffs))
     return out
-
-
-def crt_split(g1, g2):
-    """h in Q[x] with h ≡ 1 mod g1, h ≡ 0 mod g2, deg h < deg(g1*g2).
-
-    Returns (IntPoly numerator, positive integer denominator).
-    Raises ValueError if g1, g2 are not coprime in Q[x].
-    """
-    r1 = g1.to_rational()
-    r2 = g2.to_rational()
-    if r2.degree <= 0:
-        if r2.is_zero():
-            raise ValueError("zero modulus")
-        return IntPoly([1]), 1
-    g, u, v = rat_xgcd(r1, r2)
-    if g.degree != 0:
-        raise ValueError("inputs are not coprime")
-    h = v * r2  # = 1 - u*g1, so h ≡ 1 mod g1 and ≡ 0 mod g2
-    _, h = h.divmod(r1 * r2)
-    num, den = h.clear_denominators()
-    return num, den
 
 
 # ---------------------------------------------------------------------------

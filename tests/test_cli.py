@@ -129,19 +129,26 @@ def test_level_below_one_is_refused(runner, args):
     (["decompose", "11"], "level_data"),
     (["invariants", "11"], "deg_cong_report"),
     (["certify", "11"], "manin_certify"),
-    (["scan", "11", "11"], "anomaly_scan")])
+    (["scan", "11", "11"], "anomaly_scan"),
+    # a computation that cannot finish (a ValueError from the pipeline)
+    pytest.param(["invariants", "11"], ("deg_cong_report", ValueError),
+                 id="args4-could-not-compute")])
 def test_invariant_violation_exits_2(runner, monkeypatch, args, stage):
     from maninforge.exact_linalg import InvariantViolation
 
+    stage, error = stage if isinstance(stage, tuple) else (
+        stage, InvariantViolation)
+
     def violated(*_args, **_kwargs):
-        raise InvariantViolation("planted violation")
+        raise error("planted violation")
 
     monkeypatch.setattr(inv, stage, violated)
     res = runner.invoke(main, args)
     assert res.exit_code == EXIT_VIOLATION
     assert res.exception is None or isinstance(res.exception, SystemExit)
-    assert res.output.strip().splitlines() == [
-        "invariant violated: planted violation"]
+    want = ("invariant violated" if error is InvariantViolation
+            else "could not compute at level 11")
+    assert res.output.strip().splitlines() == [f"{want}: planted violation"]
 
 
 def test_long_running_gate(runner):

@@ -10,23 +10,18 @@ from hypothesis import given, settings, strategies as st
 from maninforge.exact_linalg import (
     IntLattice,
     IntMatrix,
-    RatMatrix,
     complement_projection,
     coordinates_of,
     det,
     gcdex,
     hnf,
     hnf_basis,
-    idempotent_kernel_sublattice,
     kernel_saturated,
     lattice_intersect,
-    lattice_sum,
     quotient_invariants,
-    rational_coordinates_of,
     restrict_operator,
     saturate,
     snf,
-    sublattice_index,
 )
 
 small_int = st.integers(min_value=-30, max_value=30)
@@ -132,19 +127,24 @@ def test_lattice_membership_and_coordinates():
     assert coordinates_of(lat, [[0, 1, 0]]) is None
     lat2 = IntLattice(2, [[2, 0], [0, 1]])
     assert coordinates_of(lat2, [[1, 0]]) is None
-    rc = rational_coordinates_of(lat2, [[1, 0]])
-    assert rc == [[Fraction(1, 2), Fraction(0)]]
-    assert rational_coordinates_of(lat, [[0, 1, 0]]) is None
+
+
+def test_coordinates_of_rejects_a_non_integral_entry():
+    # the half-integral entry sits on a pivot column in the first vectors
+    # and off every pivot column in the last one
+    lat = IntLattice(3, [[1, 0, 2], [0, 3, 1]])
+    for v in ([Fraction(1, 2), 0, 1], [1, Fraction(1, 2), 2],
+              [0, 0, Fraction(1, 2)]):
+        assert coordinates_of(lat, [v]) is None
+    std = IntLattice.standard(2)
+    assert coordinates_of(std, [[Fraction(1, 2), 0]]) is None
 
 
 def test_lattice_sum_intersect_index():
     l1 = IntLattice(2, [[2, 0], [0, 2]])
     l2 = IntLattice(2, [[3, 0], [0, 3]])
-    s = lattice_sum(l1, l2)
-    assert s.basis == IntLattice.standard(2).basis
     i = lattice_intersect(l1, l2)
     assert i.basis.data == ((6, 0), (0, 6))
-    assert sublattice_index(i, IntLattice.standard(2)) == 36
 
 
 def test_quotient_invariants():
@@ -157,17 +157,6 @@ def test_quotient_invariants():
     factors, free = quotient_invariants(big, part)
     assert factors == (3,)
     assert free == 1
-
-
-def test_idempotent_kernel_sublattice():
-    # projection onto first coordinate
-    e = RatMatrix.from_rows([[1, 0], [0, 0]])
-    lat = IntLattice.standard(2)
-    k = idempotent_kernel_sublattice(lat, e)
-    assert k.basis.data == ((0, 1),)
-    bad = RatMatrix.from_rows([[1, 1], [0, 1]])
-    with pytest.raises(ValueError):
-        idempotent_kernel_sublattice(lat, bad)
 
 
 def test_complement_projection_roundtrip():
@@ -302,20 +291,41 @@ def test_hnf_with_modulus_matches_hnf_basis():
         assert hnf_with_modulus(rows, n, d) == expected
 
 
-def test_det_multimodular_matches_small_path():
-    from maninforge.exact_linalg import _det_multimodular
+def test_det_matches_sympy():
+    # oracle: sympy's determinant over ZZ, at ranks on both sides of 64,
+    # with entries near 2^100 and singular matrices among them
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
 
     rng = random.Random(3)
-    for k in [1, 3, 8, 15]:
-        m = rand_matrix(rng, k, k, 25)
-        assert _det_multimodular([list(r) for r in m.data]) == det(m)
+    big = 2**100
+    cases = []
+    for k in [1, 2, 3, 5, 8, 12]:
+        cases.append([[rng.randint(big - 2**20, big) * rng.choice((1, -1))
+                       for _ in range(k)] for _ in range(k)])
+    for k in [20, 40, 64, 65, 90]:
+        rows = rand_matrix(rng, k, k, 9).data
+        # one row of entries near 2^100 keeps the minors small enough to
+        # be quick at rank 90
+        cases.append([list(r) for r in rows[:-1]]
+                     + [[big - rng.randrange(2**20) for _ in range(k)]])
+    for k in [4, 65, 90]:
+        # rank k - 1: the last row is a combination of two others
+        rows = [list(r) for r in rand_matrix(rng, k - 1, k, 9).data]
+        rows.append([big * x - 3 * y for x, y in zip(rows[0], rows[-1])])
+        cases.append(rows)
+    cases.append([[0] * 66 for _ in range(66)])
+    for rows in cases:
+        k = len(rows)
+        want = DomainMatrix([[ZZ(x) for x in r] for r in rows], (k, k),
+                            ZZ).det()
+        assert det(IntMatrix.from_rows(rows, k)) == int(want), k
+    assert det(IntMatrix.zeros(0, 0)) == 1
 
 
 def test_lattice_ops_standard_shortcuts():
     lat = IntLattice(3, [[2, 1, 0], [0, 0, 5]])
     std = IntLattice.standard(3)
-    assert lattice_sum(lat, std) == std
-    assert lattice_sum(std, lat) == std
     assert lattice_intersect(lat, std) == lat
     assert lattice_intersect(std, lat) == lat
 

@@ -72,15 +72,27 @@ def test_decomposition_fills_new_space(n):
 
 
 def test_idempotents_are_orthogonal():
-    sp = build_space(57)
-    alg = build_hecke_algebra(sp)
-    classes = decompose_new(sp, alg)
-    for c in classes:
-        e = c.e_f
-        assert e.is_idempotent()
-        assert (e * c.e_perp).clear_denominators()[0].is_zero()
-    # distinct classes have orthogonal idempotents
-    assert (classes[0].e_f * classes[1].e_f).clear_denominators()[0].is_zero()
+    # e_f + e_perp = 1 and e_f * e_perp = 0 say, on lattices, that the two
+    # kernels of each carrier have complementary ranks and meet in 0; and
+    # S[e_f] is the kernel of g_rest(t), g_rest the other factors of the
+    # separator's radical, checked on the exact matrix g_rest(t)
+    from maninforge.exact_linalg import lattice_intersect
+    from maninforge.invariants import level_data
+    from maninforge.polyarith import _exact_poly_div
+
+    data = level_data(57)
+    for cls in data.classes:
+        for r, (k1, k2) in [(data.space.cuspidal_rank, data.s_kernels(cls)),
+                            (data.algebra.rank, data.t_kernels(cls))]:
+            assert k1.rank + k2.rank == r
+            assert lattice_intersect(k1, k2).rank == 0
+        s_ef, s_eperp = data.s_kernels(cls)
+        assert s_eperp == cls.lattice
+        g_rest = _exact_poly_div(cls.radical_full, cls.g_poly)
+        assert g_rest * cls.g_poly == cls.radical_full
+        assert (s_ef.basis * g_rest.evaluate_matrix(cls.separator)).is_zero()
+        assert (s_eperp.basis
+                * cls.g_poly.evaluate_matrix(cls.separator)).is_zero()
 
 
 def test_order_at_23_is_golden_ratio_ring():
@@ -210,13 +222,14 @@ def test_empty_level_has_no_classes():
 
 def test_poly_kernel_saturated_characterized():
     from maninforge.exact_linalg import hnf_basis, snf
-    from maninforge.hecke_algebra import _exact_quotient, poly_kernel_saturated
+    from maninforge.hecke_algebra import poly_kernel_saturated
+    from maninforge.polyarith import _exact_poly_div
 
     space = build_space(89)
     algebra = build_hecke_algebra(space)
     for cls in decompose_new(space, algebra):
         for g in [cls.g_poly,
-                  _exact_quotient(cls.radical_full, cls.g_poly)]:
+                  _exact_poly_div(cls.radical_full, cls.g_poly)]:
             if g.degree == 0:
                 continue
             k = poly_kernel_saturated(cls.separator, g)

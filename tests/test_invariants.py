@@ -15,7 +15,6 @@ from maninforge.hecke_algebra import is_dvr, maximal_ideals
 from maninforge.invariants import (
     anomaly_scan,
     cong_number,
-    congruence_module,
     deg_cong_report,
     divisibility_check,
     level_data,
@@ -68,18 +67,6 @@ def test_square_tripwire_and_odd_prime_equality(n):
         for e in rep.primes:
             if e["p"] != 2:
                 assert e["ord_deg"] == e["ord_cong"]
-
-
-def test_congruence_module_via_idempotent_matches_kernels():
-    data = level_data(37)
-    cls = data.classes[0]
-    rep = congruence_module(
-        IntLattice.standard(data.space.cuspidal_rank), cls.e_f,
-        carrier="S", label=cls.label,
-    )
-    rep.check()
-    deg = modular_degree(data.space, cls)
-    assert rep.total_order == deg * deg
 
 
 def test_m_primary_orders_multiply_to_global():
@@ -253,31 +240,76 @@ def test_annihilator_characterized():
 
 
 def test_cong_report_det_path_matches_snf():
-    import maninforge.invariants as inv
-    from maninforge.invariants import _cong_report, _module_report
-    from maninforge.exact_linalg import lattice_sum
+    # oracle: the order of Z^r / (K1 + K2) is the product of sympy's Smith
+    # invariants of the stacked kernel bases over ZZ
+    from math import prod
+
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    checked = set()
+    for n in [57, 66, 86]:
+        data = level_data(n)
+        for cls in data.classes:
+            for carrier in "TS":
+                k1, k2 = (data.t_kernels(cls) if carrier == "T"
+                          else data.s_kernels(cls))
+                stacked = [list(row) for row in k1.basis.data + k2.basis.data]
+                smith = smith_normal_form(Matrix(stacked), domain=ZZ)
+                want = prod(abs(int(smith[i, i]))
+                            for i in range(min(smith.shape)))
+                rep = data.cong_report(cls, carrier)
+                assert rep.total_order == want, (cls.label, carrier)
+                assert prod(rep.p_parts.values()) == want
+                checked.add(carrier)
+    assert checked == {"T", "S"}
+
+
+def test_cong_report_refuses_kernels_that_are_not_complementary():
+    from maninforge.exact_linalg import InvariantViolation
+    from maninforge.invariants import _cong_report
 
     data = level_data(57)
+    cls = data.classes[0]
+    for carrier, (k1, _k2) in [("S", data.s_kernels(cls)),
+                               ("T", data.t_kernels(cls))]:
+        assert 2 * k1.rank != k1.ambient_dim
+        with pytest.raises(InvariantViolation, match="not complementary"):
+            _cong_report(carrier, cls.label, k1, k1)
+    # complementary ranks that meet: the module is infinite
+    k1 = IntLattice(2, [[1, 2]])
+    with pytest.raises(ValueError, match="not finite"):
+        _cong_report("S", (0, 0), k1, IntLattice(2, [[2, 4]]))
+
+
+def test_divisibility_check_reads_memoized_m_primary_orders(monkeypatch):
+    # 2 divides deg = cong = 2 of both classes at 26, whose orders are Z:
+    # after the report, the check must not redo any modular HNF
+    from maninforge import invariants as inv
+
+    data = level_data(26)
+    deg_cong_report(26)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = inv.hnf_with_modulus
+    monkeypatch.setattr(inv, "hnf_with_modulus", counted)
+    checked = []
     for cls in data.classes:
-        s_ef, s_eperp = data.s_kernels(cls)
-        t_ef, t_eperp = data.t_kernels(cls)
-        for carrier, r, k1, k2 in [
-            ("S", data.space.cuspidal_rank, s_ef, s_eperp),
-            ("T", data.algebra.rank, t_ef, t_eperp),
-        ]:
-            snf_rep = _module_report(carrier, cls.label,
-                                     IntLattice.standard(r),
-                                     lattice_sum(k1, k2))
-            old = inv._BIG_MODULE
-            inv._BIG_MODULE = 0
-            try:
-                det_rep = _cong_report(carrier, cls.label, r, k1, k2)
-            finally:
-                inv._BIG_MODULE = old
-            det_rep.check()
-            assert det_rep.total_order == snf_rep.total_order
-            assert det_rep.p_parts == snf_rep.p_parts
-            assert det_rep.invariant_factors is None
+        assert cls.dimension == 1
+        order = data.order(cls)
+        for m in maximal_ideals(order, 2):
+            assert is_dvr(order, m)
+            assert divisibility_check(cls, m) is True
+            checked.append((cls, m))
+    assert len(checked) == 2 and calls == []
+    # without the memo, the same check recomputes the orders
+    monkeypatch.setattr(data, "_m_primary", {})
+    assert divisibility_check(*checked[0]) is True
+    assert calls
 
 
 def test_report_tripwire_raises_under_python_O():
@@ -292,7 +324,7 @@ def test_report_tripwire_raises_under_python_O():
         "from maninforge.exact_linalg import InvariantViolation\n"
         "from maninforge.invariants import CongModuleReport\n"
         "assert False, 'python -O keeps asserts'\n"
-        "rep = CongModuleReport('S', (1, 1), (2, 6), 12, {2: 4, 3: 5})\n"
+        "rep = CongModuleReport('S', (1, 1), 12, {2: 4, 3: 5})\n"
         "try:\n"
         "    rep.check()\n"
         "except InvariantViolation as exc:\n"
