@@ -419,7 +419,7 @@ def _word_primes():
         yield 2 * i + 1
         i = sieve.rfind(1, 0, i)
     yield 2
-    raise RuntimeError("prime supply exhausted")
+    raise ArithmeticError("prime supply exhausted")
 
 
 def _small_primes():

@@ -11,6 +11,11 @@ action on S (on S_f for O_f), plus structure constants built on first use.
 Products are contractions with the structure constants reduced modulo
 the working modulus: a prime p, or a power of p for the m-primary work.
 
+The maximal ideals over p come from the Frobenius-fixed subalgebra of
+ring / p: Frobenius is F_p-linear there, and its fixed space is spanned by
+the primitive idempotents, because in a local factor x^p = x holds only
+on F_p * 1.
+
 Large vectorized lattices are handled through a fixed set of pivot
 coordinates: the projection onto those coordinates is injective on the
 rational span of the algebra, so exact membership and coordinate solving
@@ -52,7 +57,6 @@ from .polyarith import (
     factor_fp,
     factor_q,
     squarefree_radical,
-    _fp_xgcd,
 )
 
 __all__ = [
@@ -244,16 +248,25 @@ class _BasisRing:
 
     def mult_matrix(self, x, q):
         """The matrix of y -> y * x modulo q on coordinates: row i holds the
-        coordinates of b_i * x, x contracted with the table."""
+        coordinates of b_i * x, x contracted with the table.  For a stack
+        of elements x, the stack of their matrices."""
         dtype, matmul = _mod_p_product(q)
-        xv = np.array([int(c) % q for c in x], dtype=dtype)
-        return matmul(xv, self._table_residues(q)).reshape(self.rank, -1)
+        xv = _residues(x, q, dtype)
+        return matmul(xv, self._table_residues(q)).reshape(
+            xv.shape[:-1] + (self.rank, self.rank))
 
     def mult_coords(self, x, y, q):
-        """Coordinates of x * y modulo q."""
+        """Coordinates of x * y modulo q.  x and y are coordinate vectors,
+        or stacks of equally many of them, multiplied row by row."""
         dtype, matmul = _mod_p_product(q)
-        yv = np.array([int(c) % q for c in y], dtype=dtype)
-        return matmul(yv, self.mult_matrix(x, q)).tolist()
+        yv = _residues(y, q, dtype)[..., None, :]
+        return matmul(yv, self.mult_matrix(x, q))[..., 0, :].tolist()
+
+
+def _residues(x, q, dtype):
+    """Integer coordinates (a vector or a stack of them) modulo q, reduced
+    as Python ints and held in dtype."""
+    return (np.array(x, dtype=object) % q).astype(dtype)
 
 
 def _residue_cache(reduce):
@@ -751,10 +764,6 @@ class OrderOf(_BasisRing):
         return det(IntMatrix.from_rows(traces, d))
 
 
-def _unit_vec(d, i):
-    return tuple(1 if j == i else 0 for j in range(d))
-
-
 def order_of(algebra, cls):
     """Build O_f = T / T[e_f] as matrices on S_f."""
     restricted = [restrict_operator(cls.lattice, b) for b in algebra.basis_mats]
@@ -786,79 +795,6 @@ def order_of(algebra, cls):
 # mod-p algebra decomposition
 
 
-class _ModPAlgebra:
-    """A commutative ring (T or O_f) reduced modulo p, via its structure
-    constants (which present ring/p faithfully even where the matrix
-    embedding degenerates mod p)."""
-
-    def __init__(self, ring, p):
-        self.ring = ring
-        self.p = p
-        self.dtype, self.matmul = _mod_p_product(p)
-        self.unit = tuple(c % p for c in ring.unit_coords())
-
-    def mul(self, x, y):
-        return tuple(self.ring.mult_coords(x, y, self.p))
-
-    def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
-
-    def scale(self, c, x):
-        return tuple((c * a) % self.p for a in x)
-
-    def power(self, x, e):
-        result = self.unit
-        base = x
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def minpoly_rel(self, x, unit):
-        """Minimal polynomial of x in the subalgebra with identity `unit`."""
-        p = self.p
-        echelon = []  # (vector, pivot, expression over powers of x)
-        cur = unit
-        deg = 0
-        while True:
-            v = list(cur)
-            expr = [0] * deg + [1]
-            coeffs = []
-            for ev, pos, _eexpr in echelon:
-                c = v[pos]
-                if c:
-                    c = (c * pow(ev[pos], p - 2, p)) % p
-                    v = [(a - c * b) % p for a, b in zip(v, ev)]
-                coeffs.append(c)
-            nz = next((k for k, a in enumerate(v) if a), None)
-            if nz is None:
-                # cur = sum c_i * ev_i, so x^deg - sum c_i expr_i(x) kills x
-                out = [0] * deg + [1]
-                for c, (_ev, _pos, eexpr) in zip(coeffs, echelon):
-                    for k, a in enumerate(eexpr):
-                        out[k] = (out[k] - c * a) % p
-                out[deg] = 1
-                return FpPoly(p, tuple(out))
-            for c, (_ev, _pos, eexpr) in zip(coeffs, echelon):
-                for k, a in enumerate(eexpr):
-                    expr[k] = (expr[k] - c * a) % p
-            echelon.append((v, nz, expr))
-            cur = self.mul(cur, x)
-            deg += 1
-            if deg > self.ring.rank + 1:
-                raise RuntimeError("minimal polynomial search overran")
-
-    def eval_poly(self, coeffs, x, unit):
-        """Evaluate a polynomial (ascending coeffs mod p) at x, with 1 = unit."""
-        acc = self.scale(0, unit)
-        for c in reversed(coeffs):
-            acc = self.mul(acc, x)
-            acc = self.add(acc, self.scale(c, unit))
-        return acc
-
-
 @dataclass
 class MaxIdeal:
     """A maximal ideal of T (or O_f) of residue characteristic p."""
@@ -872,77 +808,64 @@ class MaxIdeal:
 
 
 def maximal_ideals(ring, p):
-    """Maximal ideals of residue characteristic p, via local idempotents."""
-    if ring.rank == 0:
+    """Maximal ideals of residue characteristic p, via local idempotents.
+
+    A = ring / p, presented by its structure constants (faithful even where
+    the matrix embedding degenerates mod p), is commutative of
+    characteristic p, so Frobenius x -> x^p is F_p-linear on it, with
+    matrix F of rows b_i^p.  In a local factor of A, x^p = x only for x in
+    F_p * 1: such an x is a root of the split, squarefree X^p - X, so F_p[x]
+    is a product of copies of F_p, and a local ring has no idempotents but
+    0 and 1.  So the fixed space B = ker(F - 1) is spanned by the primitive
+    idempotents, one per maximal ideal (Cohen, GTM 138, 3.4; Ronyai,
+    J. Symbolic Comput. 9, 1990), and its elements split A along distinct
+    roots (_split).  Each component eA and its radical, the kernel of a
+    power of Frobenius on eA, are then read from F.
+    """
+    d = ring.rank
+    if d == 0:
         return []
-    alg = _ModPAlgebra(ring, p)
-    comps = [alg.unit]
-    for b_idx in range(ring.rank):
-        x_b = _unit_vec(ring.rank, b_idx)
-        refined = []
-        for e in comps:
-            x = alg.mul(tuple(c % p for c in x_b), e)
-            m = alg.minpoly_rel(x, e)
-            fac = factor_fp(m)
-            if len(fac) == 1:
-                refined.append(e)
-                continue
-            primary = [_fp_pow(g, mult) for g, mult in fac]
-            for i, gi in enumerate(primary):
-                rest = None
-                for j, gj in enumerate(primary):
-                    if j != i:
-                        rest = gj if rest is None else rest * gj
-                # h ≡ 1 mod gi, 0 mod rest
-                g0, u, v = _fp_xgcd(gi, rest)
-                if g0.degree != 0:
-                    raise InvariantViolation(
-                        f"primary factors of a minimal polynomial mod {p} "
-                        "are not coprime")
-                inv = pow(g0.coeffs[0], p - 2, p)
-                h = v * rest
-                h = FpPoly(p, tuple((c * inv) % p for c in h.coeffs))
-                e_new = alg.eval_poly(h.coeffs, x, e)
-                refined.append(e_new)
-        comps = refined
+    dtype, matmul = _mod_p_product(p)
+    unit = [c % p for c in ring.unit_coords()]
+    frob = np.array(_frobenius_rows(ring, p), dtype=dtype)
+    fixed = _left_kernel_mod_p(frob - np.eye(d, dtype=dtype), p).tolist()
+    comps = [unit]
+    for b in fixed:
+        if len(comps) == len(fixed):
+            break
+        comps = [part for e in comps
+                 for part in _split(ring, b, e, len(fixed), p)]
+    if len(comps) != len(fixed):
+        raise InvariantViolation(
+            f"the number of idempotents mod {p} is not dim B = {len(fixed)}")
+    if [sum(col) % p for col in zip(*comps)] != unit:
+        raise InvariantViolation(f"the idempotents mod {p} do not sum to 1")
     ideals = []
     for e in comps:
         # RREF basis of the component eA: the identity on its pivot columns
         red, piv = _rref_mod_p(ring.mult_matrix(e, p), p)
         c = len(piv)
-        comp = red[:c].astype(alg.dtype)
-        comp_basis = red[:c].tolist()
-        # radical = kernel of iterated Frobenius on the component
-        npow = 1
-        pk = p
-        while pk < c + 1:
-            pk *= p
-            npow += 1
-        frob = np.array([alg.power(tuple(v), p) for v in comp_basis],
-                        dtype=alg.dtype)
+        comp = red[:c].astype(dtype)
         # Frobenius in comp_basis coordinates, x -> x @ fmat: the
         # coordinates of a vector of the component are its pivot entries
-        fmat = frob[:, piv]
-        if np.any(alg.matmul(fmat, comp) != frob):
+        image = matmul(comp, frob)
+        fmat = image[:, piv]
+        if np.any(matmul(fmat, comp) != image):
             raise InvariantViolation(
                 f"Frobenius image left its component mod {p}")
-        power = np.eye(c, dtype=alg.dtype)
-        for _ in range(npow):
-            power = alg.matmul(power, fmat)
-        # left kernel of power: the rows of the RREF of [power | I] past
-        # the pivots of power
-        red, piv = _rref_mod_p(
-            np.concatenate([power, np.eye(c, dtype=power.dtype)], axis=1), p)
-        rank = sum(1 for j in piv if j < c)
-        radical_basis = alg.matmul(red[rank:, c:].astype(alg.dtype),
-                                   comp).tolist()
+        # radical = kernel of Frobenius^n on the component, p^n > c
+        power, pk = fmat, p
+        while pk <= c:
+            power, pk = matmul(power, fmat), pk * p
+        radical_basis = matmul(
+            _left_kernel_mod_p(power, p).astype(dtype), comp).tolist()
         ideals.append(
             MaxIdeal(
                 parent=ring,
                 p=p,
                 idempotent=tuple(e),
                 residue_degree=c - len(radical_basis),
-                comp_basis=tuple(map(tuple, comp_basis)),
+                comp_basis=tuple(map(tuple, red[:c].tolist())),
                 radical_basis=tuple(map(tuple, radical_basis)),
             )
         )
@@ -950,11 +873,66 @@ def maximal_ideals(ring, p):
     return ideals
 
 
-def _fp_pow(g, e):
-    out = FpPoly(g.p, (1,))
-    for _ in range(e):
-        out = out * g
-    return out
+def _frobenius_rows(ring, p):
+    """b_i^p modulo p for every basis element b_i: square-and-multiply,
+    left to right over the bits of p, on the stack of all of them."""
+    basis = np.eye(ring.rank, dtype=np.int64).tolist()
+    rows = basis
+    for bit in bin(p)[3:]:
+        rows = ring.mult_coords(rows, rows, p)
+        if bit == "1":
+            rows = ring.mult_coords(rows, basis, p)
+    return rows
+
+
+def _left_kernel_mod_p(m, p):
+    """A basis of {v : v m = 0 mod p} for a square residue matrix m: the
+    rows of the RREF of [m | I] past the pivots of m."""
+    c = m.shape[0]
+    red, piv = _rref_mod_p(
+        np.concatenate([m, np.eye(c, dtype=m.dtype)], axis=1), p)
+    rank = sum(1 for j in piv if j < c)
+    return red[rank:, c:]
+
+
+def _split(ring, b, e, k, p):
+    """The idempotents that the fixed element b cuts out of the component
+    with idempotent e.
+
+    y = b e lies in the split semisimple algebra B e, so its minimal
+    polynomial over eA, read from the RREF of the transposed Krylov rows
+    e, y, y^2, ..., is a product of distinct linear factors X - lambda, and
+    each root lambda gives the idempotent prod_(mu != lambda) (y - mu e) /
+    (lambda - mu).
+    """
+    y = ring.mult_coords(b, e, p)
+    krylov = [e, y]
+    while len(krylov) <= k:
+        krylov.append(ring.mult_coords(krylov[-1], y, p))
+    # the pivots are 0..deg-1; column deg, when there is one, holds the
+    # relation y^deg = sum_j c_j y^j
+    red, piv = _rref_mod_p(list(zip(*krylov)), p)
+    deg = len(piv)
+    fac = []
+    if deg <= k:
+        fac = factor_fp(FpPoly(p, [-int(c) for c in red[:deg, deg]] + [1]))
+    if len(fac) != deg or any(g.degree != 1 or mult != 1 for g, mult in fac):
+        raise InvariantViolation(
+            f"a fixed element's minimal polynomial mod {p} does not split "
+            "into distinct linear factors")
+    if deg == 1:
+        return [e]
+    roots = [-g.coeffs[0] % p for g, _mult in fac]
+    parts = []
+    for lam in roots:
+        part = e
+        for mu in roots:
+            if mu != lam:
+                scale = pow(lam - mu, -1, p)
+                part = ring.mult_coords(
+                    part, [(a - mu * c) * scale for a, c in zip(y, e)], p)
+        parts.append(part)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -994,16 +972,11 @@ def fiber_dim(m):
 def socle_dim(algebra, m):
     """dim over T/m of the m-torsion of (ring mod p), at the local factor."""
     p = m.p
-    c = len(m.comp_basis)
     if not m.radical_basis:
         return 1  # the local factor is a field
-    alg = _ModPAlgebra(m.parent, p)
-    stacked = []
-    for v in m.comp_basis:
-        row = []
-        for rad in m.radical_basis:
-            row.extend(alg.mul(tuple(v), tuple(rad)))
-        stacked.append(row)
+    ring = m.parent
+    stacked = [[a for rad in m.radical_basis
+                for a in ring.mult_coords(v, rad, p)] for v in m.comp_basis]
     kern = len(stacked) - len(_rref_mod_p(stacked, p)[1])
     if kern % m.residue_degree:
         raise ValueError("socle dimension not divisible by residue degree")
@@ -1050,10 +1023,14 @@ def _u_p_unit_mod_m(algebra, m, p):
     coords = algebra.coords_of(u)
     if coords is None:
         raise ValueError("U_p not in the Hecke algebra")
-    alg = _ModPAlgebra(algebra, m.p)
-    x = alg.mul(tuple(c % m.p for c in coords), m.idempotent)
-    # unit iff x is not in the radical of the local factor
-    rows = [list(v) for v in m.radical_basis] + [list(x)]
+    return _is_unit_at(m, coords)
+
+
+def _is_unit_at(m, x):
+    """Whether x is a unit in the local factor at m: x * e lies outside
+    the radical of that factor."""
+    y = m.parent.mult_coords(x, m.idempotent, m.p)
+    rows = [list(v) for v in m.radical_basis] + [y]
     return len(_rref_mod_p(rows, m.p)[1]) > len(m.radical_basis)
 
 
@@ -1163,22 +1140,27 @@ def u_p_unit_check(cls, p):
 def lift_idempotent(ring, m, modulus):
     """Lift the local idempotent of m to an idempotent of ring / modulus.
 
-    modulus must be a power of m.p; iterates e <- 3e^2 - 2e^3 modulo it
-    until stable.
+    modulus must be a power p^k of m.p.  Each Newton step e <- 3e^2 - 2e^3
+    doubles the p-adic precision of an idempotent, so ceil(log2 k) steps
+    from the idempotent mod p reach p^k; the result is then checked to be
+    idempotent mod p^k and to reduce to m.idempotent mod p.
     """
     p = m.p
-    pk = modulus
-    if pk < p or pk % p:
+    k = 1
+    while p ** k < modulus:
+        k += 1
+    if p ** k != modulus:
         raise ValueError("modulus must be a power of p")
-    e = tuple(int(c) % pk for c in m.idempotent)
-    for _ in range(200):
-        e2 = ring.mult_coords(e, e, pk)
-        e3 = ring.mult_coords(e2, e, pk)
-        new = tuple((3 * a - 2 * b) % pk for a, b in zip(e2, e3))
-        if new == e:
-            return e
-        e = new
-    raise RuntimeError("idempotent lifting did not converge")
+    e = [int(c) % modulus for c in m.idempotent]
+    for _ in range((k - 1).bit_length()):
+        e2 = ring.mult_coords(e, e, modulus)
+        e3 = ring.mult_coords(e2, e, modulus)
+        e = [(3 * a - 2 * b) % modulus for a, b in zip(e2, e3)]
+    if (ring.mult_coords(e, e, modulus) != e
+            or [c % p for c in e] != [int(c) % p for c in m.idempotent]):
+        raise InvariantViolation(
+            f"idempotent mod {p} does not lift to an idempotent mod {modulus}")
+    return tuple(e)
 
 
 def eigenvalue_table(algebra, cls, order, primes):

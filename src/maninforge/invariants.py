@@ -33,7 +33,7 @@ from .exact_linalg import (
     restrict_operator,
 )
 from .hecke_algebra import (
-    _ModPAlgebra,
+    _is_unit_at,
     build_hecke_algebra,
     decompose_new,
     poly_kernel_saturated,
@@ -89,6 +89,8 @@ class LevelData:
         self._m_primary = {}
         self._max_ideals = {}
         self._order_ideals = {}
+        self._gorenstein = {}
+        self._matched_ideals = {}
         self._reports = {}
 
     def order(self, cls):
@@ -142,6 +144,23 @@ class LevelData:
         if key not in self._order_ideals:
             self._order_ideals[key] = maximal_ideals(self.order(cls), p)
         return self._order_ideals[key]
+
+    def gorenstein(self, p, mi):
+        """The Gorenstein verdict at the mi-th T-ideal over p, once: it
+        depends on the ideal, not on the class."""
+        if (p, mi) not in self._gorenstein:
+            self._gorenstein[p, mi] = is_gorenstein(
+                self.algebra, self.max_ideals(p)[mi])
+        return self._gorenstein[p, mi]
+
+    def matched_order_ideal(self, cls, p, mi):
+        """The ideal of O_f matching the mi-th T-ideal over p (or None),
+        once."""
+        key = (cls.label, p, mi)
+        if key not in self._matched_ideals:
+            self._matched_ideals[key] = _match_order_ideal(
+                self, cls, self.max_ideals(p)[mi])
+        return self._matched_ideals[key]
 
 
 @lru_cache(maxsize=8)
@@ -400,20 +419,12 @@ class ManinCertificate:
 
 def _match_order_ideal(data, cls, m_t):
     """The maximal ideal of O_f corresponding to a T-ideal, or None."""
-    order = data.order(cls)
-    p = m_t.p
-    lift = [int(c) for c in m_t.idempotent]
-    mat = data.algebra.matrix_of(lift)
-    restr = restrict_operator(cls.lattice, mat)
-    coords = order.coords_of(restr)
+    mat = data.algebra.matrix_of([int(c) for c in m_t.idempotent])
+    coords = data.order(cls).coords_of(restrict_operator(cls.lattice, mat))
     if coords is None:
         raise ValueError("T-idempotent image missing from the order")
-    alg_o = _ModPAlgebra(order, p)
-    x = tuple(int(c) % p for c in coords)
-    for m_o in data.order_ideals(cls, p):
-        y = alg_o.mul(x, m_o.idempotent)
-        rows = [list(v) for v in m_o.radical_basis] + [list(y)]
-        if len(_rref_mod_p(rows, p)[1]) > len(m_o.radical_basis):
+    for m_o in data.order_ideals(cls, m_t.p):
+        if _is_unit_at(m_o, coords):
             return m_o
     return None
 
@@ -437,8 +448,8 @@ def _ideal_diagnostics(data, cls, p, cong_orders, deg_orders):
         in_support = cong_m > 1 or deg2_m > 1
         if not in_support:
             continue
-        gor = is_gorenstein(data.algebra, m_t)
-        m_o = _match_order_ideal(data, cls, m_t)
+        gor = data.gorenstein(p, mi)
+        m_o = data.matched_order_ideal(cls, p, mi)
         dvr = is_dvr(data.order(cls), m_o) if m_o is not None else None
         records.append(
             {
@@ -602,8 +613,8 @@ def divisibility_check(cls, m):
     p = m.p
     cong_orders = data.m_primary_orders(cls, p, "T")
     deg_orders = data.m_primary_orders(cls, p, "S")
-    for mi, m_t in enumerate(data.max_ideals(p)):
-        match = _match_order_ideal(data, cls, m_t)
+    for mi in range(len(data.max_ideals(p))):
+        match = data.matched_order_ideal(cls, p, mi)
         if match is not None and match.idempotent == m.idempotent:
             deg_m = isqrt(deg_orders[mi])
             return cong_orders[mi] % deg_m == 0

@@ -394,7 +394,7 @@ def test_word_primes_are_every_prime_below_2_20_descending():
     primes = _word_primes()
     assert list(itertools.islice(primes, len(want))) == want
     assert want[0] == 1048573 and want[-1] == 2
-    with pytest.raises(RuntimeError, match="exhausted"):
+    with pytest.raises(ArithmeticError, match="exhausted"):
         next(primes)
 
 

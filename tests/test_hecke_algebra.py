@@ -195,6 +195,21 @@ def test_lift_idempotent_is_idempotent_mod_pk():
         assert all((a - u) % pk == 0 for a, u in zip(total, unit))
 
 
+@pytest.mark.parametrize("p, modulus", [(3, 81), (5, 125)])
+def test_lift_idempotent_refuses_a_non_idempotent(p, modulus):
+    # 2 is not idempotent mod 3 or mod 5; iterating e <- 3e^2 - 2e^3 to a
+    # fixed point ends at 1/2 mod 81, which is not idempotent, and at 1
+    # from 2 mod 5, which does not reduce to the planted residue
+    from maninforge.exact_linalg import InvariantViolation
+    from maninforge.hecke_algebra import MaxIdeal
+
+    alg = build_hecke_algebra(build_space(11))
+    assert alg.rank == 1
+    planted = MaxIdeal(alg, p, (2,), 1)
+    with pytest.raises(InvariantViolation, match="does not lift"):
+        lift_idempotent(alg, planted, modulus)
+
+
 def test_u_p_unit_check_signs():
     sp = build_space(26)
     alg = build_hecke_algebra(sp)
@@ -266,7 +281,7 @@ def test_structure_constants_match_matrix_products(n):
     import random
 
     from maninforge.exact_linalg import _mod_p_product, _rref_mod_p
-    from maninforge.hecke_algebra import _PIVOT_PRIME, _ModPAlgebra
+    from maninforge.hecke_algebra import _PIVOT_PRIME
 
     sp = build_space(n)
     alg = build_hecke_algebra(sp)
@@ -283,17 +298,22 @@ def test_structure_constants_match_matrix_products(n):
     assert _mod_p_product(3**18)[0] is object
     rng = random.Random(n)
     for ring in rings:
-        mod_p = {p: _ModPAlgebra(ring, p) for p in (2, 3, 5, _PIVOT_PRIME)}
+        xs, ys, wants = [], [], []
         for _ in range(20):
             x = [rng.randint(-40, 40) for _ in range(ring.rank)]
             y = [rng.randint(-40, 40) for _ in range(ring.rank)]
             want = ring.coords_of(ring.matrix_of(x) * ring.matrix_of(y),
                                   verify=True)
             assert want is not None
-            for q in powers:
-                assert ring.mult_coords(x, y, q) == [c % q for c in want]
-            for p, alg_p in mod_p.items():
-                assert alg_p.mul(x, y) == tuple(c % p for c in want)
+            xs.append(x)
+            ys.append(y)
+            wants.append(want)
+        # one pair at a time, and the 20 pairs as one stack
+        for q in powers + (2, 3, 5, _PIVOT_PRIME):
+            reduced = [[c % q for c in want] for want in wants]
+            assert [ring.mult_coords(x, y, q)
+                    for x, y in zip(xs, ys)] == reduced
+            assert ring.mult_coords(xs, ys, q) == reduced
 
 
 def test_closure_tripwire_catches_a_corrupted_basis_row():
@@ -331,3 +351,91 @@ def test_span_check_uses_enough_primes():
     ident[1] += m
     assert not alg._combines_to(
         [unit], _ModReducer(ident, (1, len(ident))).mod, m)
+
+
+def _mod_p_rank(rows, p):
+    from maninforge.exact_linalg import _rref_mod_p
+
+    return len(_rref_mod_p(rows, p)[1]) if rows else 0
+
+
+def _power(ring, x, e, p):
+    """x^e modulo p by square-and-multiply through mult_coords."""
+    out = [c % p for c in ring.unit_coords()]
+    while e:
+        if e & 1:
+            out = ring.mult_coords(out, x, p)
+        x = ring.mult_coords(x, x, p)
+        e >>= 1
+    return out
+
+
+@pytest.mark.parametrize("n, primes", [
+    (46, [2, 3, 5, 7, 11]),
+    (57, [2, 3, 5, 7]),
+    (77, [2, 3, 5, 7]),
+    (23, [2, 5, 8589934609]),
+])
+def test_maximal_ideals_are_a_complete_local_decomposition(n, primes):
+    sp = build_space(n)
+    alg = build_hecke_algebra(sp)
+    rings = [alg] + [order_of(alg, cls) for cls in decompose_new(sp, alg)]
+    for ring in rings:
+        for p in primes:
+            ideals = maximal_ideals(ring, p)
+            unit = [c % p for c in ring.unit_coords()]
+            es = [list(m.idempotent) for m in ideals]
+            # idempotent, pairwise orthogonal, summing to the unit
+            for i, e in enumerate(es):
+                assert ring.mult_coords(e, e, p) == e
+                for f in es[i + 1:]:
+                    assert not any(ring.mult_coords(e, f, p))
+            assert [sum(col) % p for col in zip(*es)] == unit
+            assert sum(len(m.comp_basis) for m in ideals) == ring.rank
+            for m in ideals:
+                rad = [list(v) for v in m.radical_basis]
+                # x^(p^f) - x lies in the radical: comp / rad is F_(p^f)
+                for x in m.comp_basis:
+                    y = _power(ring, list(x), p ** m.residue_degree, p)
+                    diff = [(a - b) % p for a, b in zip(y, x)]
+                    assert _mod_p_rank(rad + [diff], p) == len(rad)
+                # the radical is nilpotent: rad^c = 0, c = dim of the factor
+                power = rad
+                for _ in range(len(m.comp_basis)):
+                    power = [ring.mult_coords(a, r, p)
+                             for a in power for r in rad]
+                    power = [v for v in power if any(v)]
+                    if not power:
+                        break
+                assert not power
+
+
+@pytest.mark.parametrize("n, index", [
+    (23, 0), (53, 1), (62, 1), (79, 1), (91, 3), (95, 1), (97, 0),
+])
+def test_order_ideals_match_dedekind_kummer(n, index):
+    # when disc(g) = disc(O_f) for the minimal polynomial g of a_ell, O_f
+    # is Z[a_ell], so its ideals over p are the factors of g mod p: one
+    # per irreducible factor, of that degree, with local length its
+    # multiplicity
+    import sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor
+
+    from maninforge.polyarith import squarefree_radical
+
+    sp = build_space(n)
+    alg = build_hecke_algebra(sp)
+    cls = decompose_new(sp, alg)[index]
+    order = order_of(alg, cls)
+    ell = next(q for q in primes_upto(50) if n % q)
+    a_ell = restrict_operator(cls.lattice, hecke(sp, ell).matrix)
+    g = list(reversed(squarefree_radical(charpoly_int(a_ell)).coeffs))
+    assert len(g) == cls.dimension + 1
+    x = sympy.symbols("x")
+    assert sympy.discriminant(sympy.Poly(g, x)) == order.discriminant()
+    for p in primes_upto(13):
+        want = sorted((len(h) - 1, e) for h, e in gf_factor(ZZ.map(g), p, ZZ)[1])
+        got = sorted((m.residue_degree, len(m.comp_basis) // m.residue_degree)
+                     for m in maximal_ideals(order, p))
+        assert got == want, p

@@ -312,6 +312,24 @@ def test_divisibility_check_reads_memoized_m_primary_orders(monkeypatch):
     assert calls
 
 
+def test_gorenstein_verdict_runs_once_per_ideal(monkeypatch):
+    # both classes at 37 meet the one ideal over 2: its fiber dimension is
+    # computed once, not once per class
+    from maninforge import hecke_algebra as ha
+    from maninforge import invariants as inv
+
+    data = inv.LevelData(37)
+    monkeypatch.setattr(inv, "level_data", lambda n: data)
+    calls = []
+    real = ha.fiber_dim
+    monkeypatch.setattr(ha, "fiber_dim", lambda m: calls.append(m) or real(m))
+    reports = deg_cong_report(37)
+    ideals = {(rec["p"], rec["ideal"].idempotent)
+              for rep in reports for rec in rep.ideals}
+    assert len(reports) == 2 and all(rep.ideals for rep in reports)
+    assert len(calls) == len(ideals) == 1
+
+
 def test_report_tripwire_raises_under_python_O():
     # the check must not be an `assert`, which `python -O` strips
     import os
