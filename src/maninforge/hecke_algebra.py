@@ -669,7 +669,26 @@ def _candidate_separators(space, algebra):
 
 
 def decompose_new(space, algebra):
-    """Decompose the new subspace into newform classes with idempotents."""
+    """Decompose the new subspace into newform classes.
+
+    A candidate t (_candidate_separators) is a Z-combination of T_ell with
+    ell prime to the level.  Those operators are normal for the Petersson
+    product, so t is semisimple on S (x) Q, and it preserves the new and
+    the old subspaces.  Every eigenvalue system occurs at least twice on
+    the new lattice, so when the radical r of its charpoly there has
+    degree rank/2, each irreducible factor g of r occurs exactly twice, and
+    corank_Q g(t) >= 2 deg g on S, with equality exactly when ker g(t)
+    lies in the new subspace.  The factors are coprime, so ker r(t) is the
+    direct sum of the ker g(t): corank_Q r(t) >= rank(new), with equality
+    exactly when t separates.  When S is new, that always holds.
+    Otherwise, since a rank modulo p never exceeds the rank over Q,
+    corank_p r(t) = rank(new) at one prime proves that t separates; a
+    candidate is rejected only when that test fails at two primes, so a
+    single bad prime cannot change the separator chosen.  Only the
+    separator that wins is factored and gets certified kernels: each must
+    have rank 2 deg g and lie in the new lattice, or InvariantViolation is
+    raised.
+    """
     n = space.n
     new = new_lattice(space)
     if new.rank == 0:
@@ -677,41 +696,32 @@ def decompose_new(space, algebra):
     if new.rank % 2:
         raise ValueError("new lattice has odd rank")
     target = new.rank // 2
+    word = _word_primes()
+    primes = (next(word), next(word))
     for name, t in _candidate_separators(space, algebra):
         t_new = restrict_operator(new, t)
         _logger.debug("decompose: charpoly of %s on the new lattice", name)
-        cp_new = charpoly_int(t_new)
-        rad_new = squarefree_radical(cp_new)
+        rad_new = squarefree_radical(charpoly_int(t_new))
         if rad_new.degree != target:
-            continue
-        _logger.debug("decompose: factoring radical of degree %d", rad_new.degree)
-        factors = factor_q(rad_new)
-        if any(e != 1 for _g, e in factors):
-            continue
-        # validate against the full space: each factor must cut exactly 2d
-        # dimensions out of S, all inside the new lattice
-        pieces = []
-        ok = True
-        for g, _e in sorted(factors, key=lambda fe: (fe[0].degree, fe[0].coeffs)):
-            _logger.debug("decompose: isotypic kernel for degree-%d factor", g.degree)
-            k = poly_kernel_saturated(t, g)
-            if k.rank != 2 * g.degree:
-                ok = False
-                break
-            if lattice_intersect(k, new).rank != k.rank:
-                ok = False
-                break
-            pieces.append((g, k))
-        if not ok:
-            continue
-        if sum(2 * g.degree for g, _k in pieces) != new.rank:
             continue
         if new.rank == space.cuspidal_rank:
             rad_full = rad_new
         else:
+            t_mod = _ModReducer(t.data).mod
+            if not any(_corank_mod_p(t_mod(p), rad_new, p) == new.rank
+                       for p in primes):
+                continue
             rad_full = squarefree_radical(charpoly_int(t))
+        _logger.debug("decompose: factoring radical of degree %d", rad_new.degree)
         classes = []
-        for idx, (g, k) in enumerate(pieces):
+        for idx, g in enumerate(factor_q(rad_new)):
+            _logger.debug("decompose: isotypic kernel for degree-%d factor", g.degree)
+            k = poly_kernel_saturated(t, g)
+            if k.rank != 2 * g.degree or lattice_intersect(k, new) != k:
+                raise InvariantViolation(
+                    f"level {n}: {name} passed the corank test, but the "
+                    f"kernel of a degree-{g.degree} factor has rank {k.rank} "
+                    "or leaves the new lattice")
             classes.append(
                 NewformClass(
                     label=(n, idx),
@@ -727,6 +737,12 @@ def decompose_new(space, algebra):
     raise ValueError(
         f"no separating element found for level {n} within the search bound"
     )
+
+
+def _corank_mod_p(t_p, f, p):
+    """The corank of f(t) modulo p, t given by its residues t_p."""
+    return t_p.shape[0] - len(
+        _rref_mod_p(_poly_mod_horner(t_p, f.coeffs, p), p)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -915,14 +931,17 @@ def _split(ring, b, e, k, p):
     deg = len(piv)
     fac = []
     if deg <= k:
-        fac = factor_fp(FpPoly(p, [-int(c) for c in red[:deg, deg]] + [1]))
-    if len(fac) != deg or any(g.degree != 1 or mult != 1 for g, mult in fac):
+        minpoly = FpPoly(p, [-int(c) for c in red[:deg, deg]] + [1])
+        if minpoly.gcd(minpoly.derivative()).degree == 0:
+            fac = factor_fp(minpoly)
+    # squarefree of degree deg: deg factors exactly when all are linear
+    if len(fac) != deg:
         raise InvariantViolation(
             f"a fixed element's minimal polynomial mod {p} does not split "
             "into distinct linear factors")
     if deg == 1:
         return [e]
-    roots = [-g.coeffs[0] % p for g, _mult in fac]
+    roots = [-g.coeffs[0] % p for g in fac]
     parts = []
     for lam in roots:
         part = e
@@ -1056,10 +1075,9 @@ def is_dvr(order, m):
     # contains p^2 O since m contains pO: so the products are needed mod p^2
     d, p2 = order.rank, m.p * m.p
     gens = mm.basis.data
+    xs, ys = zip(*[(x, y) for i, x in enumerate(gens) for y in gens[i:]])
     prod_rows = [[p2 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i, x in enumerate(gens):
-        for y in gens[i:]:
-            prod_rows.append(order.mult_coords(x, y, p2))
+    prod_rows += order.mult_coords(xs, ys, p2)
     m2 = IntLattice(d, prod_rows)
     factors, free = quotient_invariants(mm, m2)
     if free:

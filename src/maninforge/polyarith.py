@@ -1,13 +1,16 @@
 """Exact univariate polynomial arithmetic over Z and F_p.
 
-Integer characteristic polynomials (multimodular), factorization over F_p
-(Cantor-Zassenhaus) and over Q (Zassenhaus: factor mod p, Hensel lift,
-subset recombination), and exact division and gcds in Z[x].
+Integer characteristic polynomials (multimodular), factorization of
+squarefree polynomials over F_p (Cantor-Zassenhaus) and over Q (Zassenhaus:
+factor mod p, Hensel lift, subset recombination), and exact division and
+gcds in Z[x].  Both factorizers refuse a polynomial with a repeated factor:
+every caller factors a radical or a minimal polynomial of a split
+semisimple element.
 """
 
 import random
 from itertools import combinations
-from math import gcd, comb
+from math import comb, gcd, isqrt
 
 import numpy as np
 
@@ -303,43 +306,6 @@ class FpPoly:
         return result
 
 
-def _squarefree_decomposition_fp(f):
-    """Yun-style squarefree decomposition over F_p, handling p-th powers."""
-    p = f.p
-    out = {}
-
-    def accumulate(g, mult):
-        for factor, m in _squarefree_parts(g):
-            out[factor] = out.get(factor, 0) + m * mult
-
-    def _squarefree_parts(g):
-        parts = []
-        while g.degree > 0:
-            d = g.derivative()
-            if d.is_zero():
-                # g = h(x^p) = h1(x)^p with h1 the p-th root coefficientwise
-                root = FpPoly(p, [g.coeffs[i] for i in range(0, len(g.coeffs), p)])
-                for factor, m in _squarefree_parts(root):
-                    parts.append((factor, m * p))
-                return parts
-            w = g.gcd(d)
-            sqfree, _ = g.divmod(w)
-            i = 1
-            while sqfree.degree > 0:
-                y = sqfree.gcd(w)
-                piece, _ = sqfree.divmod(y)
-                if piece.degree > 0:
-                    parts.append((piece.monic(), i))
-                sqfree = y
-                w, _ = w.divmod(y)
-                i += 1
-            g = w
-        return parts
-
-    accumulate(f, 1)
-    return out
-
-
 def _distinct_degree(f):
     """Distinct-degree factorization of a squarefree monic polynomial."""
     p = f.p
@@ -392,24 +358,23 @@ def _equal_degree_split(f, d, rng):
 
 
 def factor_fp(f):
-    """Factor over F_p into (irreducible monic, multiplicity) pairs.
+    """The monic irreducible factors of a squarefree polynomial over F_p,
+    sorted by (degree, coefficients).
 
-    Deterministic: the equal-degree splitting PRNG is seeded from the
-    polynomial coefficients.
+    Raises ValueError unless gcd(f, f') = 1; a p-th power, whose
+    derivative vanishes, is refused by the same test.  Deterministic: the
+    equal-degree splitting PRNG is seeded from the coefficients.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
     if f.degree <= 0:
         return []
-    seed = hash((f.p,) + f.coeffs) & 0xFFFFFFFF
-    rng = random.Random(seed)
-    result = []
-    for sqfree, mult in sorted(_squarefree_decomposition_fp(f.monic()).items(),
-                               key=lambda t: (t[0].degree, t[0].coeffs)):
-        for part, d in _distinct_degree(sqfree):
-            for irr in _equal_degree_split(part.monic(), d, rng):
-                result.append((irr.monic(), mult))
-    result.sort(key=lambda t: (t[0].degree, t[0].coeffs))
+    if f.gcd(f.derivative()).degree > 0:
+        raise ValueError("factor_fp takes a squarefree polynomial")
+    rng = random.Random(hash((f.p,) + f.coeffs) & 0xFFFFFFFF)
+    result = [irr.monic() for part, d in _distinct_degree(f.monic())
+              for irr in _equal_degree_split(part.monic(), d, rng)]
+    result.sort(key=lambda g: (g.degree, g.coeffs))
     return result
 
 
@@ -420,22 +385,9 @@ def factor_fp(f):
 def _mignotte_bound(f):
     """Bound on the coefficients of any integer factor of f."""
     n = f.degree
-    norm = 0
-    for c in f.coeffs:
-        norm += c * c
-    # integer sqrt, rounded up
-    r = 1
-    while r * r < norm:
-        r <<= 1
-    lo, hi = r >> 1, r
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid * mid >= norm:
-            hi = mid
-        else:
-            lo = mid + 1
-    norm_root = lo
-    half = n // 2 if n else 0
+    norm = sum(c * c for c in f.coeffs)
+    norm_root = isqrt(norm - 1) + 1  # ceil(sqrt(norm)), norm >= 1
+    half = n // 2
     return comb(half, half // 2) * (norm_root + abs(f.leading()))
 
 
@@ -531,16 +483,16 @@ def _next_power(p, target):
 
 
 def _factor_monic_squarefree(f):
-    """Factor a monic squarefree integer polynomial into monic irreducibles."""
-    if f.degree == 1:
-        return [f]
+    """Factor a monic squarefree integer polynomial of degree at least 2
+    into monic irreducibles."""
     for p in _small_primes():
-        fp = FpPoly.from_int_poly(f, p)
-        if fp.gcd(fp.derivative()).degree == 0:
-            break
+        try:
+            modular = factor_fp(FpPoly.from_int_poly(f, p))
+        except ValueError:  # f is not squarefree mod p
+            continue
+        break
     else:
         raise ArithmeticError("no prime below 2^20 keeps f squarefree")
-    modular = [fac for fac, _ in factor_fp(fp)]
     if len(modular) == 1:
         return [f]
     target = 2 * _mignotte_bound(f) + 1
@@ -571,26 +523,6 @@ def _factor_monic_squarefree(f):
     return found
 
 
-def _factor_squarefree_q(f):
-    """Factor a primitive squarefree integer polynomial into irreducibles."""
-    f = f.primitive()
-    if f.degree <= 0:
-        return []
-    if f.degree == 1:
-        return [f]
-    c = f.leading()
-    if c == 1:
-        return _factor_monic_squarefree(f)
-    # pass to the monic associate F(x) = c^(n-1) * f(x/c), then substitute back
-    n = f.degree
-    monic = IntPoly([coef * c ** (n - 1 - i) for i, coef in enumerate(f.coeffs[:-1])] + [1])
-    out = []
-    for g in _factor_monic_squarefree(monic):
-        out.append(IntPoly([coef * c ** i for i, coef in enumerate(g.coeffs)]).primitive())
-    out.sort(key=lambda g: (g.degree, g.coeffs))
-    return out
-
-
 def _exact_poly_div(a, b):
     """a / b in Z[x] if exact (up to making the quotient primitive-safe)."""
     if b.is_zero() or b.degree > a.degree:
@@ -613,30 +545,30 @@ def _exact_poly_div(a, b):
 
 
 def factor_q(f):
-    """Factor a nonzero integer polynomial over Q.
+    """The primitive irreducible factors over Q of a squarefree integer
+    polynomial, sorted by (degree, coefficients).
 
-    Returns a list of (primitive irreducible IntPoly, multiplicity), sorted.
+    Raises ValueError unless gcd(f, f') = 1 in Q[x].
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    if f.degree == 0:
+    f = f.primitive()
+    if f.degree <= 0:
         return []
-    result = {}
-    # squarefree decomposition over Q via Yun
-    work = f.primitive()
-    gi = int_poly_gcd(work, work.derivative())
-    w = _exact_poly_div(work, gi)
-    mult = 1
-    while w.degree > 0:
-        yi = int_poly_gcd(w, gi)
-        piece = _exact_poly_div(w, yi)
-        if piece.degree > 0:
-            for irr in _factor_squarefree_q(piece):
-                result[irr] = result.get(irr, 0) + mult
-        w = yi
-        gi = _exact_poly_div(gi, yi)
-        mult += 1
-    out = sorted(result.items(), key=lambda t: (t[0].degree, t[0].coeffs))
+    if int_poly_gcd(f, f.derivative()).degree > 0:
+        raise ValueError("factor_q takes a squarefree polynomial")
+    if f.degree == 1:
+        return [f]
+    c = f.leading()
+    if c == 1:
+        return _factor_monic_squarefree(f)
+    # pass to the monic associate F(x) = c^(n-1) * f(x/c), then substitute back
+    n = f.degree
+    monic = IntPoly([coef * c ** (n - 1 - i) for i, coef in enumerate(f.coeffs[:-1])] + [1])
+    out = []
+    for g in _factor_monic_squarefree(monic):
+        out.append(IntPoly([coef * c ** i for i, coef in enumerate(g.coeffs)]).primitive())
+    out.sort(key=lambda g: (g.degree, g.coeffs))
     return out
 
 
@@ -695,12 +627,8 @@ def charpoly_int(m):
         return IntPoly([1])
     amax = max(m.max_abs(), 1)
     # |c_k| <= C(n, k) * (sqrt(k) * amax)^k <= 2^n * (sqrt(n) * amax)^n
-    bound = 2 ** n
-    s = 1
-    while s * s < n:
-        s += 1
-    bound *= (s * amax) ** n
-    bound = 2 * bound + 1
+    s = isqrt(n - 1) + 1  # ceil(sqrt(n))
+    bound = 2 * 2 ** n * (s * amax) ** n + 1
     parts = []
     modulus = 1
     reducer = _ModReducer(m.data)

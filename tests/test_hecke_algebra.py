@@ -255,6 +255,41 @@ def test_poly_kernel_saturated_characterized():
             assert snf(k.basis) == (1,) * k.rank
 
 
+@pytest.mark.parametrize("n, n_classes", [(78, 1), (130, 3)])
+def test_decompose_certifies_one_kernel_per_class(monkeypatch, n, n_classes):
+    # losing candidates are rejected by their mod-p coranks, so certified
+    # kernels are computed for the winning separator only, one per class
+    from maninforge import hecke_algebra
+
+    calls = []
+    real = hecke_algebra.poly_kernel_saturated
+
+    def counting(t, g):
+        calls.append(g)
+        return real(t, g)
+
+    monkeypatch.setattr(hecke_algebra, "poly_kernel_saturated", counting)
+    space = build_space(n)
+    classes = decompose_new(space, build_hecke_algebra(space))
+    assert len(classes) == n_classes
+    assert calls == [c.g_poly for c in classes]
+
+
+def test_decompose_tripwire_catches_a_wrong_kernel(monkeypatch):
+    # the exact certificate of the winning separator is what stands behind
+    # the mod-p corank test: a kernel of the wrong rank must raise
+    from maninforge import hecke_algebra
+    from maninforge.exact_linalg import IntLattice, InvariantViolation
+
+    def too_small(t, g):
+        return IntLattice(t.rows, [[1] + [0] * (t.rows - 1)])
+
+    monkeypatch.setattr(hecke_algebra, "poly_kernel_saturated", too_small)
+    space = build_space(57)
+    with pytest.raises(InvariantViolation):
+        decompose_new(space, build_hecke_algebra(space))
+
+
 @pytest.mark.parametrize("n", [102, 105, 110])
 def test_algebra_rank_is_genus(n):
     from test_modsym import genus_x0

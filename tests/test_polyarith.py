@@ -3,6 +3,7 @@
 import random
 
 from hypothesis import given, settings, strategies as st
+import pytest
 import sympy
 
 from maninforge.exact_linalg import IntMatrix
@@ -19,10 +20,9 @@ coeff = st.integers(min_value=-8, max_value=8)
 
 
 def poly_product(factors):
-    out = IntPoly((1,))
-    for f, e in factors:
-        for _ in range(e):
-            out = out * f
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
     return out
 
 
@@ -50,35 +50,57 @@ def test_squarefree_radical():
 
 def test_factor_fp():
     f = FpPoly(2, (1, 1, 1))
-    assert factor_fp(f) == [(f, 1)]
-    f = FpPoly(5, (0, 0, 1))
-    assert factor_fp(f) == [(FpPoly(5, (0, 1)), 2)]
+    assert factor_fp(f) == [f]
     # x^p - x splits completely mod p
     p = 7
     f = FpPoly(p, tuple([0, p - 1] + [0] * (p - 2) + [1]))
     fac = factor_fp(f)
     assert len(fac) == p
-    assert all(g.degree == 1 and e == 1 for g, e in fac)
+    assert all(g.degree == 1 for g in fac)
+    assert poly_product(fac) == f
+
+
+def test_factor_fp_refuses_repeated_factors():
+    with pytest.raises(ValueError):
+        factor_fp(FpPoly(5, (0, 0, 1)))  # x^2
+    x_plus_1_to_5 = FpPoly(5, (1, 5, 10, 10, 5, 1))
+    assert x_plus_1_to_5.derivative().is_zero()
+    with pytest.raises(ValueError):
+        factor_fp(x_plus_1_to_5)
 
 
 def test_factor_q_known():
     f1 = IntPoly((1, -1, 1))
     f2 = IntPoly((3, 3, 1))
     f3 = IntPoly((-1, 0, 0, 1, 1))
-    prod = poly_product([(f1, 1), (f2, 2), (f3, 1)])
+    prod = poly_product([f1, f2, f3])
     fac = factor_q(prod)
     assert poly_product(fac) == prod
-    assert sorted(e for _f, e in fac) == [1, 1, 2]
-    assert (f2, 2) in fac
+    assert fac == [f1, f2, f3]
+
+
+def test_factor_q_refuses_repeated_factors():
+    with pytest.raises(ValueError):
+        factor_q(poly_product([IntPoly((1, -1, 1)), IntPoly((3, 3, 1)),
+                               IntPoly((3, 3, 1))]))
 
 
 def test_factor_q_nonmonic_and_constant():
     f = IntPoly((6,)) * IntPoly((1, 2)) * IntPoly((-3, 2))
     fac = factor_q(f)
-    rebuilt = poly_product(fac)
     # factorization is into primitive irreducibles; content may be dropped
-    assert rebuilt.primitive() == f.primitive()
-    assert all(g.degree >= 1 for g, _e in fac)
+    assert poly_product(fac) == f.primitive()
+    assert all(g.degree >= 1 for g in fac)
+
+
+def _sympy_sqf_part(f, x):
+    """The squarefree part of f, by sympy, as a primitive IntPoly."""
+    part = sympy.Poly(list(reversed(f.coeffs)), x).sqf_part()
+    return IntPoly([int(c) for c in reversed(part.all_coeffs())]).primitive()
+
+
+def _positive_leading(g):
+    return -g if g.leading() < 0 else g
 
 
 def test_factor_q_matches_sympy():
@@ -87,25 +109,16 @@ def test_factor_q_matches_sympy():
     for _ in range(10):
         deg = rng.randint(2, 9)
         coeffs = [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([1, 2, 3])]
-        f = IntPoly(tuple(coeffs))
+        f = _sympy_sqf_part(IntPoly(tuple(coeffs)), x)
         fac = factor_q(f)
-        fs = sympy.Poly(list(reversed(coeffs)), x)
-        _c, sympy_fac = fs.factor_list()
-        ours = sorted((g.coeffs, e) for g, e in fac)
+        _c, sympy_fac = sympy.Poly(list(reversed(f.coeffs)), x).factor_list()
         theirs = []
         for g, e in sympy_fac:
+            assert e == 1
             cs = [int(c) for c in reversed(sympy.Poly(g, x).all_coeffs())]
-            gp = IntPoly(tuple(cs)).primitive()
-            if gp.leading() < 0:
-                gp = -gp
-            theirs.append((gp.coeffs, e))
-        norm_ours = []
-        for cs, e in ours:
-            gp = IntPoly(cs)
-            if gp.leading() < 0:
-                gp = -gp
-            norm_ours.append((gp.coeffs, e))
-        assert sorted(norm_ours) == sorted(theirs)
+            theirs.append(_positive_leading(IntPoly(tuple(cs)).primitive()).coeffs)
+        ours = [_positive_leading(g).coeffs for g in fac]
+        assert sorted(ours) == sorted(theirs)
 
 
 def test_charpoly_int_matches_sympy():
@@ -135,11 +148,13 @@ def test_hypothesis_factor_roundtrip(c1, c2):
     f = IntPoly(tuple(c1)) * IntPoly(tuple(c2))
     if f.is_zero() or f.degree < 1:
         return
-    fac = factor_q(f)
-    assert poly_product(fac).primitive() == f.primitive() or poly_product(
-        fac
-    ).primitive() == (-f).primitive()
-    for g, _e in fac:
+    sqf = _sympy_sqf_part(f, sympy.Symbol("x"))
+    if sqf.degree < f.degree:
+        with pytest.raises(ValueError):
+            factor_q(f)
+    fac = factor_q(sqf)
+    assert poly_product(fac).primitive() == sqf.primitive()
+    for g in fac:
         assert g.degree >= 1
         assert g.content() == 1
 
@@ -164,7 +179,7 @@ def test_charpoly_int_large_block_companion():
             rows[off + i][off + d - 1] = -p.coeffs[i]
         off += d
     cp = charpoly_int(IntMatrix.from_rows(rows, n))
-    expected = poly_product([(p, 1) for p in polys])
+    expected = poly_product(polys)
     assert cp == expected
 
 
