@@ -76,11 +76,20 @@ def _write_artifact(root, n, name, text):
         os.replace(tmp, target)
 
 
+def _basis_digest(space):
+    """sha256 of the cuspidal basis the cached operators are written in."""
+    return hashlib.sha256(space.cuspidal.basis.to_text().encode("ascii")).hexdigest()
+
+
 def _load_op_cache(space, root):
     index = _read_artifact(root, space.n, "op_index")
     if index is None:
         return
-    for name in index.split():
+    digest, _, names = index.partition("\n")
+    if digest != _basis_digest(space):
+        return  # written in another basis: recompute, never trust
+    r = space.cuspidal_rank
+    for name in names.split():
         text = _read_artifact(root, space.n, f"op_{name}")
         if text is None:
             continue
@@ -88,7 +97,7 @@ def _load_op_cache(space, root):
             mat = IntMatrix.from_text(text)
         except (ValueError, IndexError):
             continue
-        if mat.rows == space.cuspidal_rank or name.startswith("deg_"):
+        if mat.rows == mat.cols == r:
             space._ops[name] = OperatorMatrix(name, mat)
 
 
@@ -98,7 +107,7 @@ def _save_op_cache(space, root):
     for name, op in space._ops.items():
         _write_artifact(root, space.n, f"op_{name}", op.matrix.to_text())
     _write_artifact(root, space.n, "op_index",
-                    " ".join(sorted(space._ops)) + "\n")
+                    f"{_basis_digest(space)}\n" + " ".join(sorted(space._ops)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,7 @@ __all__ = [
     "hnf",
     "snf",
     "kernel_saturated",
-    "lattice_intersect",
     "quotient_invariants",
-    "saturate",
     "det",
     "primes_upto",
 ]
@@ -978,48 +976,6 @@ def _saturate_kernel_rows(w_rows, free, n):
     if lat.rank != k:
         raise ArithmeticError("saturated kernel has wrong rank")
     return lat
-
-
-def saturate(lattice):
-    """Smallest saturated lattice containing the given one."""
-    if lattice.rank == 0:
-        return lattice
-    k = kernel_saturated(lattice.basis)
-    if k.rank == 0:
-        return IntLattice.standard(lattice.ambient_dim)
-    return kernel_saturated(k.basis)
-
-
-def _is_standard_lattice(l):
-    if l.rank != l.ambient_dim:
-        return False
-    return all(
-        x == (1 if i == j else 0)
-        for i, row in enumerate(l.basis.data)
-        for j, x in enumerate(row)
-    )
-
-
-def lattice_intersect(l1, l2):
-    if l1.ambient_dim != l2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if l1.rank == 0 or l2.rank == 0:
-        return IntLattice.zero(l1.ambient_dim)
-    if _is_standard_lattice(l1):
-        return l2
-    if _is_standard_lattice(l2):
-        return l1
-    stacked = IntMatrix.from_rows(
-        list(l1.basis.data) + [[-x for x in row] for row in l2.basis.data],
-        l1.ambient_dim,
-    )
-    # solutions (x, y) with x*B1 = y*B2 form the row kernel of the stack
-    k = kernel_saturated(stacked.transpose())
-    rows = []
-    for w in k.basis.data:
-        x = w[:l1.rank]
-        rows.append([sum(c * b for c, b in zip(x, col)) for col in zip(*l1.basis.data)])
-    return IntLattice(l1.ambient_dim, rows)
 
 
 def quotient_invariants(l, l_sub):

@@ -45,7 +45,7 @@ from .exact_linalg import (
     _rref_mod_p,
     _solve_hnf_int,
     _word_primes,
-    lattice_intersect,
+    coordinates_of,
     primes_upto,
     quotient_invariants,
     restrict_operator,
@@ -717,7 +717,8 @@ def decompose_new(space, algebra):
         for idx, g in enumerate(factor_q(rad_new)):
             _logger.debug("decompose: isotypic kernel for degree-%d factor", g.degree)
             k = poly_kernel_saturated(t, g)
-            if k.rank != 2 * g.degree or lattice_intersect(k, new) != k:
+            if (k.rank != 2 * g.degree
+                    or coordinates_of(new, k.basis.data) is None):
                 raise InvariantViolation(
                     f"level {n}: {name} passed the corank test, but the "
                     f"kernel of a degree-{g.degree} factor has rank {k.rank} "

@@ -2,9 +2,9 @@
 
 Builds the Manin-symbol presentation, the torsion-free quotient M, the
 boundary map to cusp classes, and the saturated cuspidal lattice S (an
-integral model of H_1 of the modular curve).  Provides the geometric
-operators: Hecke T_l / U_l, Atkin-Lehner involutions, degeneracy maps to
-lower level, the new sublattice, and the star involution.
+integral model of H_1 of the modular curve).  Provides the Hecke
+operators T_l / U_l, the star involution, and the new sublattice, which
+at squarefree level is the joint kernel of U_p^2 - 1 over p | n.
 
 Conventions: elements are integer row vectors; operators act on the right,
 so composing operators left-to-right multiplies their matrices in order.
@@ -21,11 +21,9 @@ from .exact_linalg import (
     IntMatrix,
     IntLattice,
     InvariantViolation,
-    coordinates_of,
     complement_projection,
     gcdex,
     kernel_saturated,
-    lattice_intersect,
     restrict_operator,
 )
 
@@ -36,9 +34,6 @@ __all__ = [
     "OperatorMatrix",
     "build_space",
     "hecke",
-    "atkin_lehner",
-    "degeneracy",
-    "degeneracy_pullback",
     "new_lattice",
     "star_involution",
     "factorize",
@@ -310,7 +305,7 @@ class ModSymSpace:
                      if rel_rows else IntMatrix.zeros(0, m0))
         self.relations = relations
 
-        # torsion-free quotient M = Z^m0 / saturate(rowspace(relations))
+        # torsion-free quotient M = Z^m0 / (saturation of the relation rows)
         ortho = kernel_saturated(relations)
         sat_rows = kernel_saturated(ortho.basis) if ortho.rank else IntLattice.standard(m0)
         self.proj, self.sec = complement_projection(sat_rows)
@@ -379,16 +374,6 @@ class ModSymSpace:
                   np.sign(s) * coef)
         return out[:, 1:]
 
-    def from_generator_rows(self, rows, target):
-        """The map M -> target's M given the images of the needed generators.
-
-        rows[i] is the image of generator need[i] on target's reduced
-        generators; the result is sec * rows * target.proj.
-        """
-        m0 = len(target.reps)
-        images = IntMatrix.from_rows(rows, m0) if rows else IntMatrix.zeros(0, m0)
-        return self._sec_need * images * target.proj
-
     def operator_from_images(self, mats):
         """Matrix on M of the operator sum coef * [[a, b], [c, d]].
 
@@ -402,46 +387,12 @@ class ModSymSpace:
         for lo in range(0, len(pts), step):
             u, v = pts[lo:lo + step, :1], pts[lo:lo + step, 1:]
             rows[lo:lo + step] = self.symbol_rows(a * u + c * v, b * u + d * v, coef)
-        return self.from_generator_rows(rows.tolist(), self)
+        images = IntMatrix.from_rows(rows.tolist(), len(self.reps))
+        return self._sec_need * images * self.proj
 
     def on_cuspidal(self, m_matrix):
         """Restrict an operator on M to coordinates of the S basis."""
         return restrict_operator(self.cuspidal, m_matrix)
-
-    def path_vector(self, alpha, beta):
-        """Modular symbol {alpha, beta} as a vector on the reduced generators.
-
-        Cusps are pairs (p, q) in lowest terms, q = 0 meaning infinity.
-        Uses the continued-fraction decomposition into unimodular paths.
-        """
-        n, table = self.n, self.p1.table
-        row = [0] * len(self.reps)
-
-        def add_inf_path(p, q, scale):
-            # {infinity, p/q} as a sum of Manin symbols
-            if q == 0:
-                return
-            cf = []
-            a, b = p, q
-            while b:
-                cf.append(a // b)
-                a, b = b, a - (a // b) * b
-            pk_prev, qk_prev = 1, 0
-            pk, qk = None, None
-            for k, a_k in enumerate(cf):
-                if k == 0:
-                    pk, qk = a_k, 1
-                else:
-                    pk, qk, pk_prev, qk_prev = (a_k * pk + pk_prev,
-                                                a_k * qk + qk_prev, pk, qk)
-                sign = -1 if k % 2 == 0 else 1
-                s = int(self.gen_sign[table[qk % n, (sign * qk_prev) % n]])
-                if s:
-                    row[abs(s) - 1] += scale if s > 0 else -scale
-
-        add_inf_path(beta[0], beta[1], 1)
-        add_inf_path(alpha[0], alpha[1], -1)
-        return row
 
 
 @lru_cache(maxsize=None)
@@ -470,45 +421,6 @@ def hecke(space, ell):
     return op
 
 
-def _left_action_matrix(space, w):
-    """Matrix on M of a left-acting integer matrix w (positive determinant).
-
-    The Manin symbol of gamma maps to the path of w*gamma, decomposed into
-    unimodular paths by continued fractions.  Used for operators (such as
-    Atkin-Lehner) whose matrices do not act termwise on P^1(Z/nZ).
-    """
-    wa, wb, wc, wd = w
-    rows = []
-    for c, d in space.need_points.tolist():
-        a, b, cc, dd = _lift_to_sl2(c, d, space.n)
-        pa = wa * a + wb * cc
-        pc = wc * a + wd * cc
-        pb = wa * b + wb * dd
-        pd = wc * b + wd * dd
-        rows.append(space.path_vector(_cusp_normalize(pb, pd),
-                                      _cusp_normalize(pa, pc)))
-    return space.from_generator_rows(rows, space)
-
-
-def atkin_lehner(space, q):
-    """Atkin-Lehner involution w_q on S, for q exactly dividing n."""
-    n = space.n
-    if n % q != 0 or (n // q) % q == 0:
-        raise ValueError("q must divide n exactly once")
-    name = f"w_{q}"
-    cached = space._ops.get(name)
-    if cached is not None:
-        return cached
-    m = n // q
-    _g, alpha, beta = gcdex(q, m)
-    # W = [[q*alpha, -beta], [n, q]] has determinant q and normalizes Gamma_0(n)
-    w = (q * alpha, -beta, n, q)
-    m_matrix = _left_action_matrix(space, w)
-    op = OperatorMatrix(name, space.on_cuspidal(m_matrix))
-    space._ops[name] = op
-    return op
-
-
 def star_involution(space):
     """The complex-conjugation involution on S."""
     cached = space._ops.get("star")
@@ -520,113 +432,28 @@ def star_involution(space):
     return op
 
 
-def _degeneracy_forget_m(space_n, space_m):
-    """Pushforward M(n) -> M(m) induced by reinterpreting Manin symbols."""
-    pts = space_n.need_points
-    rows = space_m.symbol_rows(pts[:, :1], pts[:, 1:], 1)
-    return space_n.from_generator_rows(rows.tolist(), space_m)
-
-
-def _cuspidal_map(space_n, space_m, m_level_map):
-    """Express a map M(n) -> M(m) on the cuspidal bases."""
-    if space_n.cuspidal.rank == 0 or space_m.cuspidal.rank == 0:
-        return IntMatrix.zeros(space_n.cuspidal.rank, space_m.cuspidal.rank)
-    images = space_n.cuspidal.basis * m_level_map
-    coords = coordinates_of(space_m.cuspidal, [list(r) for r in images.data])
-    if coords is None:
-        raise ValueError("degeneracy image is not integral on the cuspidal lattice")
-    return IntMatrix.from_rows(coords, space_m.cuspidal.rank)
-
-
-def degeneracy(space_n, ell, kind):
-    """Degeneracy pushforward S(n) -> S(n / ell), kind 'forget' or 'quotient'.
-
-    'forget' is induced by the identity on the upper half plane; 'quotient'
-    by z -> ell*z, realized as Atkin-Lehner at ell followed by 'forget'.
-    """
-    n = space_n.n
-    if not is_squarefree(n):
-        raise ValueError("degeneracy maps require squarefree level")
-    if n % ell != 0:
-        raise ValueError("ell must divide the level")
-    if n == ell:
-        raise ValueError("no proper divisor level: the level is prime")
-    if kind not in ("forget", "quotient"):
-        raise ValueError("kind must be 'forget' or 'quotient'")
-    name = f"deg_{kind}_{ell}"
-    cached = space_n._ops.get(name)
-    if cached is not None:
-        return cached
-    space_m = build_space(n // ell)
-    forget = _cuspidal_map(space_n, space_m, _degeneracy_forget_m(space_n, space_m))
-    if kind == "forget":
-        mat = forget
-    else:
-        mat = atkin_lehner(space_n, ell).matrix * forget
-    op = OperatorMatrix(name, mat)
-    space_n._ops[name] = op
-    return op
-
-
-def _coset_reps(p1n, m):
-    """SL_2(Z) representatives of Gamma_0(n) \\ Gamma_0(m), for m | n = p1n.n."""
-    reps = []
-    for c, d in p1n.points:
-        if c % m == 0:
-            a, b, cc, dd = _lift_to_sl2(c, d, p1n.n)
-            if cc % m:
-                raise InvariantViolation(
-                    f"lift of ({c} : {d}) left Gamma_0({m}) at level {p1n.n}")
-            reps.append((a, b, cc, dd))
-    return reps
-
-
-def degeneracy_pullback(space_n, ell, kind):
-    """Degeneracy pullback S(n / ell) -> S(n) (homology transfer)."""
-    n = space_n.n
-    if not is_squarefree(n):
-        raise ValueError("degeneracy maps require squarefree level")
-    if n % ell != 0 or n == ell:
-        raise ValueError("invalid degeneracy prime")
-    space_m = build_space(n // ell)
-    reps = _coset_reps(space_n.p1, n // ell)
-    rows = []
-    for u, v in space_m.need_points.tolist():
-        a, b, uu, vv = _lift_to_sl2(u, v, space_m.n)
-        row = [0] * len(space_n.reps)
-        for (ga, gb, gc, gd) in reps:
-            # gamma * g: path from column 2 to column 1
-            pa = ga * a + gb * uu
-            pc = gc * a + gd * uu
-            pb = ga * b + gb * vv
-            pd = gc * b + gd * vv
-            seg = space_n.path_vector(_cusp_normalize(pb, pd), _cusp_normalize(pa, pc))
-            for k, x in enumerate(seg):
-                row[k] += x
-        rows.append(row)
-    m_map = space_m.from_generator_rows(rows, space_n)
-    pull_forget = _cuspidal_map(space_m, space_n, m_map)
-    if kind == "forget":
-        return OperatorMatrix(f"pull_forget_{ell}", pull_forget)
-    if kind == "quotient":
-        # (pi_quot)^* = (pi_forg)^* then w_ell at level n
-        return OperatorMatrix(f"pull_quotient_{ell}",
-                              pull_forget * atkin_lehner(space_n, ell).matrix)
-    raise ValueError("kind must be 'forget' or 'quotient'")
-
-
 def new_lattice(space):
-    """The new sublattice of S: joint kernel of all degeneracy pushforwards."""
+    """The new sublattice of S: the joint kernel of U_p^2 - 1 over p | n.
+
+    At squarefree n, S (x) Q is the sum of the images of the newforms f of
+    the levels d | n.  For p | d, U_p commutes with the maps f(z) -> f(mz)
+    for m | n/d (prime to p) and acts as a_p(f) = -w_p = ±1 (Atkin and
+    Lehner, "Hecke operators on Gamma_0(m)", Math. Ann. 185, 1970), so
+    U_p^2 = 1 there.  For p not dividing d, U_p satisfies X^2 - a_p X + p
+    on each p-old pair, and both roots have absolute value sqrt(p) (the
+    Ramanujan-Petersson bound, proved in weight 2 by Eichler-Shimura and
+    Weil), so U_p^2 - 1 is injective there.  So the p-new subspace is
+    ker(U_p^2 - 1), and the new lattice is the saturated joint kernel; at
+    a prime level U_n^2 = 1 and it is all of S.
+    """
     n = space.n
     if not is_squarefree(n):
         raise ValueError("new subspace requires squarefree level")
     r = space.cuspidal.rank
-    lat = IntLattice.standard(r)
-    for ell in factorize(n):
-        if n == ell:
-            continue
-        for kind in ("forget", "quotient"):
-            d = degeneracy(space, ell, kind).matrix
-            lat = lattice_intersect(lat, kernel_saturated(d.transpose()))
-    return lat
-
+    ident = IntMatrix.identity(r)
+    rows = []
+    for p in factorize(n):
+        u = hecke(space, p).matrix
+        # v * (U^2 - 1) = 0 for row vectors v: the rows of the transposes
+        rows.extend((u * u - ident).transpose().data)
+    return kernel_saturated(IntMatrix.from_rows(rows, r))

@@ -209,6 +209,45 @@ def test_decompose_warm_cache_computes_no_operator(tmp_path, monkeypatch):
     assert warm.stdout_bytes == cold.stdout_bytes
 
 
+def test_cache_written_in_another_basis_is_recomputed(tmp_path, monkeypatch):
+    # op_index starts with the digest of the cuspidal basis its matrices are
+    # written in; under another digest nothing is loaded, not even a matrix
+    # of the right shape with a valid sidecar
+    from maninforge import invariants as inv
+    from maninforge.exact_linalg import IntMatrix
+    from maninforge.modsym import ModSymSpace, build_space
+
+    root = str(tmp_path / "c5")
+    args = ["--cache-dir", root, "decompose", "66", "--json"]
+    calls = []
+    compute = ModSymSpace.operator_from_images
+
+    def counted(space, image_fn):
+        calls.append(space.n)
+        return compute(space, image_fn)
+
+    monkeypatch.setattr(ModSymSpace, "operator_from_images", counted)
+    build_space.cache_clear()
+    inv.level_data.cache_clear()
+    cold = CliRunner().invoke(main, args)
+    assert cold.exit_code == EXIT_OK
+    cold_calls, calls[:] = list(calls), []
+    _digest, _, names = _read_artifact(root, 66, "op_index").partition("\n")
+    assert "T_5" in names.split()
+    _write_artifact(root, 66, "op_index", "0" * 64 + "\n" + names)
+    t5 = IntMatrix.from_text(_read_artifact(root, 66, "op_T_5"))
+    wrong = t5.scale(-1)
+    _write_artifact(root, 66, "op_T_5", wrong.to_text())
+
+    build_space.cache_clear()
+    inv.level_data.cache_clear()
+    warm = CliRunner().invoke(main, args)
+    assert warm.exit_code == EXIT_OK
+    assert calls == cold_calls
+    assert build_space(66)._ops["T_5"].matrix == t5
+    assert warm.stdout_bytes == cold.stdout_bytes
+
+
 def test_parallel_scan_fills_the_cache(tmp_path):
     from maninforge.modsym import build_space, is_squarefree
 

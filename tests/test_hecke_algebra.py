@@ -76,7 +76,7 @@ def test_idempotents_are_orthogonal():
     # kernels of each carrier have complementary ranks and meet in 0; and
     # S[e_f] is the kernel of g_rest(t), g_rest the other factors of the
     # separator's radical, checked on the exact matrix g_rest(t)
-    from maninforge.exact_linalg import lattice_intersect
+    from maninforge.exact_linalg import hnf_basis
     from maninforge.invariants import level_data
     from maninforge.polyarith import _exact_poly_div
 
@@ -85,7 +85,8 @@ def test_idempotents_are_orthogonal():
         for r, (k1, k2) in [(data.space.cuspidal_rank, data.s_kernels(cls)),
                             (data.algebra.rank, data.t_kernels(cls))]:
             assert k1.rank + k2.rank == r
-            assert lattice_intersect(k1, k2).rank == 0
+            stacked = [list(v) for v in k1.basis.data + k2.basis.data]
+            assert len(hnf_basis(stacked, r)) == r
         s_ef, s_eperp = data.s_kernels(cls)
         assert s_eperp == cls.lattice
         g_rest = _exact_poly_div(cls.radical_full, cls.g_poly)
@@ -288,6 +289,28 @@ def test_decompose_tripwire_catches_a_wrong_kernel(monkeypatch):
     space = build_space(57)
     with pytest.raises(InvariantViolation):
         decompose_new(space, build_hecke_algebra(space))
+
+
+def test_decompose_tripwire_catches_a_kernel_outside_the_new_lattice(
+        monkeypatch):
+    # at 33 the new lattice has rank 2 in S of rank 6; a kernel of the right
+    # rank 2 that is not inside it must raise, not become a class
+    from maninforge import hecke_algebra
+    from maninforge.exact_linalg import IntLattice, InvariantViolation, hnf_basis
+
+    space = build_space(33)
+    algebra = build_hecke_algebra(space)
+    new = new_lattice(space)
+    assert (new.rank, space.cuspidal_rank) == (2, 6)
+    outside = IntLattice(6, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0]])
+    # new + outside has rank above 2, so outside is not in new
+    rows = [list(v) for v in new.basis.data + outside.basis.data]
+    assert len(hnf_basis(rows, 6)) > new.rank
+
+    monkeypatch.setattr(hecke_algebra, "poly_kernel_saturated",
+                        lambda t, g: outside)
+    with pytest.raises(InvariantViolation, match="leaves the new lattice"):
+        decompose_new(space, algebra)
 
 
 @pytest.mark.parametrize("n", [102, 105, 110])

@@ -1,7 +1,8 @@
 """Tests for modular symbol spaces and geometric operators.
 
 Oracles used here are independent of the implementation:
-- the genus and cusp-count formulas for X_0(n),
+- the genus and cusp-count formulas for X_0(n), and through them the rank
+  of the new subspace at squarefree level,
 - eta-product q-expansions for the weight-2 newforms at genus-one levels,
 - commutativity of the Hecke operators and the Weil bound |a_ell| <= 2 sqrt(ell)
   on their eigenvalues, checked exactly by sympy's real-root counting.
@@ -13,14 +14,11 @@ from math import gcd
 import pytest
 import sympy
 
-from maninforge.exact_linalg import IntMatrix, kernel_saturated
+from maninforge.exact_linalg import IntMatrix, kernel_saturated, restrict_operator
 from maninforge.hecke_algebra import primes_upto, sturm_bound
 from maninforge.modsym import (
     MR_BOUND,
-    atkin_lehner,
     build_space,
-    degeneracy,
-    degeneracy_pullback,
     factorize,
     hecke,
     is_prime,
@@ -286,39 +284,6 @@ def test_hecke_charpolys_meet_weil_bound_at_66():
 # --- involutions -----------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "n,q", [(11, 11), (14, 2), (14, 7), (15, 3), (15, 5), (37, 37), (22, 11), (26, 2)]
-)
-def test_atkin_lehner_involution(n, q):
-    sp = build_space(n)
-    w = atkin_lehner(sp, q).matrix
-    assert w * w == IntMatrix.identity(w.rows)
-    ell = 3 if n % 3 else 7
-    t = hecke(sp, ell).matrix
-    assert w * t == t * w
-
-
-def test_atkin_lehner_rejects_bad_divisor():
-    sp = build_space(12)
-    with pytest.raises(ValueError):
-        atkin_lehner(sp, 2)  # 4 | 12
-    with pytest.raises(ValueError):
-        atkin_lehner(sp, 5)
-
-
-def test_atkin_lehner_signs_level_14():
-    # for the newform of level 14: a_2 = -1, a_7 = 1, and w_q = -a_q (q || n prime)
-    sp = build_space(14)
-    ident = IntMatrix.identity(2)
-    assert atkin_lehner(sp, 2).matrix == ident
-    assert atkin_lehner(sp, 7).matrix == ident.scale(-1)
-
-
-def test_fricke_is_minus_u_at_prime_level():
-    sp = build_space(11)
-    assert atkin_lehner(sp, 11).matrix == hecke(sp, 11).matrix.scale(-1)
-
-
 def test_star_involution():
     for n in [11, 14, 22, 37]:
         sp = build_space(n)
@@ -328,33 +293,45 @@ def test_star_involution():
         assert s * t == t * s
 
 
-# --- degeneracy structure ---------------------------------------------------
+# --- the new lattice --------------------------------------------------------
 
 
-def test_pullback_then_pushforward_is_index():
-    # composition S(11) -> S(22) -> S(11) is multiplication by [index] = 3
-    sp = build_space(22)
-    d_f = degeneracy(sp, 2, "forget").matrix
-    p_f = degeneracy_pullback(sp, 2, "forget").matrix
-    assert p_f * d_f == IntMatrix.identity(2).scale(3)
+def new_rank(n):
+    """Rank of the new lattice at squarefree n, twice dim S_2(n)^new.
+
+    The genus of X_0(n) is sum_{d | n} 2^omega(n/d) g_new(d), since each
+    newform of level d has one old image per divisor of n/d; Moebius
+    inversion of 2^omega over squarefree divisors gives (-2)^omega.
+    """
+    return 2 * sum((-2) ** len(factorization(n // d)) * genus_x0(d)
+                   for d in range(1, n + 1) if n % d == 0)
 
 
-def test_u_p_plus_w_p_identity():
-    # on S(22): U_2 + w_2 equals pushforward (forget) followed by pullback (quotient)
-    sp = build_space(22)
-    d_f = degeneracy(sp, 2, "forget").matrix
-    p_q = degeneracy_pullback(sp, 2, "quotient").matrix
-    u2 = hecke(sp, 2).matrix
-    w2 = atkin_lehner(sp, 2).matrix
-    assert u2 + w2 == d_f * p_q
+SQUAREFREE_CUSPIDAL = [n for n in range(11, 111)
+                       if all(e == 1 for e in factorization(n).values())
+                       and genus_x0(n)]
 
 
-def test_degeneracy_commutes_with_hecke():
-    sp = build_space(33)
-    d = degeneracy(sp, 3, "forget").matrix
-    low = build_space(11)
-    for ell in [2, 5, 7]:
-        assert hecke(sp, ell).matrix * d == d * hecke(low, ell).matrix
+@pytest.mark.parametrize("n", SQUAREFREE_CUSPIDAL)
+def test_new_lattice_is_the_p_new_part(n):
+    # rank against the genus formula, and U_p = -w_p an involution on it
+    sp = build_space(n)
+    new = new_lattice(sp)
+    assert new.rank == new_rank(n)
+    ident = IntMatrix.identity(new.rank)
+    for p in factorization(n):
+        u = restrict_operator(new, hecke(sp, p).matrix)
+        assert u * u == ident, p
+
+
+def test_report_at_66_builds_one_space():
+    # U_p on the level itself decides newness: no lower level is built
+    from maninforge import invariants as inv
+
+    build_space.cache_clear()
+    inv.level_data.cache_clear()
+    inv.deg_cong_report(66)
+    assert build_space.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize(
@@ -368,16 +345,12 @@ def test_new_lattice_rank(n, expected_new_rank):
 def test_new_lattice_is_hecke_stable():
     sp = build_space(33)
     nl = new_lattice(sp)
-    from maninforge.exact_linalg import restrict_operator
-
     for ell in [2, 5]:
         restrict_operator(nl, hecke(sp, ell).matrix)  # raises if not stable
 
 
 def test_degeneracy_requires_squarefree():
     sp = build_space(12)
-    with pytest.raises(ValueError):
-        degeneracy(sp, 2, "forget")
     with pytest.raises(ValueError):
         new_lattice(sp)
 
@@ -406,26 +379,3 @@ def test_is_prime_matches_sympy():
 def test_is_squarefree():
     assert is_squarefree(1) and is_squarefree(30) and is_squarefree(431)
     assert not is_squarefree(12) and not is_squarefree(49)
-
-
-# --- path vectors -----------------------------------------------------------
-
-
-def test_path_vector_additivity_in_m():
-    sp = build_space(30)
-    a, b, c = (0, 1), (1, 3), (2, 7)
-    v_ab = sp.path_vector(a, b)
-    v_bc = sp.path_vector(b, c)
-    v_ac = sp.path_vector(a, c)
-    m0 = len(sp.reps)
-    total = IntMatrix.from_rows([[x + y - z for x, y, z in zip(v_ab, v_bc, v_ac)]], m0)
-    assert (total * sp.proj).is_zero()
-
-
-def test_path_vector_closed_loop_is_cuspidal():
-    sp = build_space(11)
-    # {0, infinity} is the full winding element; its boundary is [0] - [inf]
-    v = IntMatrix.from_rows([sp.path_vector((0, 1), (1, 0))], len(sp.reps))
-    m_vec = v * sp.proj
-    bd = m_vec * sp.boundary
-    assert not bd.is_zero()  # 0 and infinity are distinct cusps at level 11
