@@ -182,9 +182,18 @@ def _require_level(n):
         sys.exit(EXIT_REFUSED)
 
 
+def _is_squarefree(n):
+    """is_squarefree(n), or exit refused when n cannot be factored."""
+    try:
+        return is_squarefree(n)
+    except ArithmeticError as exc:
+        click.echo(f"level {n}: {exc}; refused", err=True)
+        sys.exit(EXIT_REFUSED)
+
+
 def _require_squarefree(n):
     _require_level(n)
-    if not is_squarefree(n):
+    if not _is_squarefree(n):
         click.echo(f"level {n} is not squarefree; refused", err=True)
         sys.exit(EXIT_REFUSED)
 
@@ -383,7 +392,7 @@ def _scan_level(n, root):
 def cmd_scan(ctx, n_min, n_max, as_json, long_running, threads):
     """Scan squarefree levels for classes with a deg/cong mismatch at 2."""
     _require_level(n_min)
-    levels = [n for n in range(n_min, n_max + 1) if is_squarefree(n)]
+    levels = [n for n in range(n_min, n_max + 1) if _is_squarefree(n)]
     for n in levels:
         _gate_long_running(n, long_running)
     root = ctx.obj["cache"]

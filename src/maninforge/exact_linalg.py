@@ -8,7 +8,7 @@ canonical row Hermite normal form, which makes equality bit-identical.
 import logging
 from functools import cache, partial
 from itertools import takewhile
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -803,67 +803,79 @@ def _rref_mod_p(a, p, pivot_order=None):
     return a, piv
 
 
-_RECON_BIT_CAP = 2_000_000
+def _vanishes(residues, bound):
+    """Whether an integer array with entries at most bound in absolute
+    value is zero, from residues(p): the array modulo a word prime p, or
+    any array that is nonzero exactly where that one is.  Zero modulo
+    primes whose product exceeds 2 * bound is zero.
+    """
+    modulus = 1
+    for p in _word_primes():
+        if np.any(residues(p)):
+            return False
+        modulus *= p
+        if modulus > 2 * bound:
+            return True
 
 
-def _modular_kernel(n, matrix_mod, accept):
-    """Kernel of an n-column integer matrix seen only modulo primes.
+def _modular_kernel(n, matrix_mod, certify):
+    """Saturated kernel of an n-column integer matrix seen only modulo
+    primes, as a lattice.
 
     matrix_mod(primes) yields the matrix modulo each of the primes, as
-    arrays of residues.  The pivot set is fixed at the first prime, and a
-    later prime that misses it is skipped; the residues of the reduced
-    kernel basis are combined by CRT, and each time the prime batch is
-    complete the rows are rationally reconstructed (one row per free column
-    f, with w_f[f] > 0 and zeros at the other free columns) and handed to
-    accept(w_rows, free).  accept certifies them exactly and returns the
-    result, or None to ask for more primes; batches double up to a bit cap,
-    after which the pivot set is drawn afresh.  The mod-p rank never
-    exceeds the rational rank, so a certified row per free column spans
-    the whole rational kernel, and a pivot set that undercounts the rank
-    never certifies.
+    arrays of residues.  A run fixes, at its first prime, the rows (those
+    independent there, when there are more rows than columns) and the
+    pivot set; a later prime that misses the pivot set is skipped.  The
+    residues of the reduced kernel basis are combined by _crt_rows and,
+    each time a prime batch is complete, rationally reconstructed (one row
+    per free column f, with w_f[f] > 0 and zeros at the other free
+    columns) and saturated.  certify(lattice) proves exactly that the
+    candidate lies in the kernel of every row; one that does not asks for
+    a batch twice as large, and a reconstruction that repeats across two
+    batches and still fails restarts the run from the next prime.
+
+    This is sound: the mod-p rank never exceeds the rank over Q, so a
+    certified row per free column spans the whole rational kernel, while
+    rows or pivots chosen at a prime that undercounts the rank give a
+    kernel too large to pass certify, which checks against every row.
     """
-    prime_iter = _word_primes()
-    for _restart in range(5):
-        pivots = None
-        residues = None
-        modulus = 1
-        batch = 2
-        while modulus.bit_length() <= _RECON_BIT_CAP:
+    primes = _word_primes()
+    while True:
+        pivots = prev = None
+        parts, modulus, batch = [], 1, 2
+        while True:
             got = 0
             while got < batch:
-                ps = [next(prime_iter) for _ in range(batch - got)]
+                ps = [next(primes) for _ in range(batch - got)]
                 for p, a in zip(ps, matrix_mod(ps)):
                     if pivots is None:
-                        red, pivots = _rref_mod_p(a, p)
-                        pivot_set = set(pivots)
-                        free = [j for j in range(n) if j not in pivot_set]
+                        rows = (_rref_mod_p(a.T, p)[1] if len(a) > n
+                                else slice(None))
+                        red, pivots = _rref_mod_p(a[rows], p)
+                        free = sorted(set(range(n)).difference(pivots))
                     else:
-                        red, piv = _rref_mod_p(a, p, pivot_order=pivots)
+                        red, piv = _rref_mod_p(a[rows], p,
+                                               pivot_order=pivots)
                         if piv != pivots:
                             continue  # unlucky prime for this pivot set
-                    sol = (red[:len(pivots)][:, free].tolist()
-                           if free else [])
-                    if residues is None:
-                        residues = sol
-                        modulus = p
-                    else:
-                        _g, inv, _ = gcdex(modulus % p, p)
-                        for ri, si in zip(residues, sol):
-                            for j in range(len(ri)):
-                                ri[j] += modulus * (
-                                    (si[j] - ri[j]) * inv % p)
-                        modulus *= p
+                    parts.append((p, red[:len(pivots)][:, free]))
+                    modulus *= p
                     got += 1
-            w_rows = _reconstruct_kernel_rows(residues, modulus, pivots,
-                                              free, n)
+            w_rows = _reconstruct_kernel_rows(_crt_rows(parts, modulus),
+                                              modulus, pivots, free, n)
             if w_rows is not None:
-                result = accept(w_rows, free)
-                if result is not None:
-                    return result
+                try:
+                    lat = _saturate_kernel_rows(w_rows, free, n)
+                except ArithmeticError:
+                    lat = None
+                if lat is not None and certify(lat):
+                    return lat
+                if w_rows == prev:
+                    break
+            prev = w_rows
             _logger.debug("modular kernel: no certified candidate at %d "
                           "bits, extending", modulus.bit_length())
             batch = min(2 * batch, 64)
-    raise ArithmeticError("modular kernel reconstruction did not converge")
 
 
 def _reconstruct_kernel_rows(residues, modulus, pivots, free, n):
@@ -877,17 +889,13 @@ def _reconstruct_kernel_rows(residues, modulus, pivots, free, n):
             if rec is None:
                 return None
             entries.append(rec)
-            den_l = den_l * rec[1] // gcd(den_l, rec[1])
+            den_l = lcm(den_l, rec[1])
         w = [0] * n
         w[f] = den_l
         for i, (num, dv) in enumerate(entries):
             w[pivots[i]] = -num * (den_l // dv)
-        g_all = 0
-        for x in w:
-            g_all = gcd(g_all, x)
-        if g_all > 1:
-            w = [x // g_all for x in w]
-        w_rows.append(w)
+        g_all = gcd(*w)
+        w_rows.append([x // g_all for x in w])
     return w_rows
 
 
@@ -903,9 +911,9 @@ def kernel_saturated(m):
     """Saturated integer kernel {v in Z^cols : M * v = 0} as a lattice.
 
     The rational kernel is reconstructed from kernels modulo word-sized
-    primes (see _modular_kernel); every reconstructed vector is checked to
-    be in the kernel exactly before the span is saturated, so the result
-    is exact and no intermediate blows up with the dimension.
+    primes and saturated (see _modular_kernel); every basis vector is then
+    checked to be in the kernel exactly, so the result is exact and no
+    intermediate blows up with the dimension.
     """
     n = m.cols
     if n == 0:
@@ -913,17 +921,9 @@ def kernel_saturated(m):
     if m.rows == 0 or m.is_zero():
         return IntLattice.standard(n)
     rows = m.data
-    reducer = _ModReducer(rows)
-
-    def matrix_mod(ps):
-        return map(reducer.mod, ps)
-
-    def accept(w_rows, free):
-        if all(_in_kernel_exact(rows, w) for w in w_rows):
-            return _saturate_kernel_rows(w_rows, free, n)
-        return None
-
-    return _modular_kernel(n, matrix_mod, accept)
+    return _modular_kernel(
+        n, partial(map, _ModReducer(rows).mod),
+        lambda lat: all(_in_kernel_exact(rows, w) for w in lat.basis.data))
 
 
 def _saturate_kernel_rows(w_rows, free, n):
@@ -940,9 +940,7 @@ def _saturate_kernel_rows(w_rows, free, n):
     # K = sigma(Lambda) with Lambda = {y in Z^k : y * sigma integral}, since
     # projection onto the free columns is inverse to sigma on ker_Q.
     d_f = [w[f] for w, f in zip(w_rows, free)]
-    delta = 1
-    for x in d_f:
-        delta = delta * x // gcd(delta, x)
+    delta = lcm(*d_f)
     if delta == 1:
         return IntLattice(n, w_rows)
     _logger.debug("saturation: k=%d n=%d, delta %d bits", k, n,

@@ -44,6 +44,7 @@ from .exact_linalg import (
     _pivots,
     _rref_mod_p,
     _solve_hnf_int,
+    _vanishes,
     _word_primes,
     coordinates_of,
     primes_upto,
@@ -190,20 +191,14 @@ class _BasisRing:
 
         targets(p) gives the target rows modulo p, and tmax bounds their
         entries.  An entry of the difference is at most rank * max|z| *
-        max|basis| + tmax in size, so agreement modulo word primes whose
-        product exceeds twice that bound is equality.
+        max|basis| + tmax in size (_vanishes).
         """
         bmax, residues = self._fast_rows
         cmax = max((abs(int(c)) for z in zs for c in z), default=0)
-        need = 2 * (self.rank * cmax * bmax + tmax) + 1
         z_mod = _ModReducer(zs, (len(zs), self.rank)).mod
-        modulus = 1
-        for p in _word_primes():
-            if np.any(_matmul_mod(z_mod(p), residues(p), p) != targets(p)):
-                return False
-            modulus *= p
-            if modulus >= need:
-                return True
+        return _vanishes(
+            lambda p: _matmul_mod(z_mod(p), residues(p), p) != targets(p),
+            self.rank * cmax * bmax + tmax)
 
     def matrix_of(self, coords):
         return _combination(coords, self.basis_mats, self.dim_s)
@@ -219,23 +214,33 @@ class _BasisRing:
     def mult_table(self):
         """mult_table[i][j] = coordinates of b_i * b_j.
 
-        The ring is commutative, so d(d+1)/2 products suffice, and only
-        their pivot entries are formed: a product lies in the ring, on
-        whose rational span the pivot projection is injective.
+        The ring is commutative, so d(d+1)/2 products suffice, each from
+        its pivot entries alone (_product_coords).
         """
-        d, n = self.rank, self.dim_s
-        pos = [divmod(c, n) for c in self._solver.pivot_cols]
+        d = self.rank
         cols = [list(zip(*m.data)) for m in self.basis_mats]
         table = [[None] * d for _ in range(d)]
         for i, bi in enumerate(self.basis_mats):
             for j in range(i, d):
-                w = [sum(x * y for x, y in zip(bi.data[a], cols[j][c]))
-                     for a, c in pos]
-                z = self._solver.solve_projected(w)
-                if z is None:
-                    raise ValueError("ring not closed under multiplication")
-                table[i][j] = table[j][i] = tuple(z)
+                table[i][j] = table[j][i] = tuple(
+                    self._product_coords(bi.data, cols[j]))
         return tuple(tuple(row) for row in table)
+
+    def _product_coords(self, a_rows, b_cols):
+        """Coordinates of the product of the matrices with rows a_rows and
+        columns b_cols, from its pivot entries alone.
+
+        A product that lies in the ring is fixed by them, since the pivot
+        projection is injective on the ring's rational span; one that has
+        no integer solution there raises ValueError.
+        """
+        n = self.dim_s
+        w = [sum(map(mul, a_rows[a], b_cols[c]))
+             for a, c in (divmod(c, n) for c in self._solver.pivot_cols)]
+        z = self._solver.solve_projected(w)
+        if z is None:
+            raise ValueError("ring not closed under multiplication")
+        return z
 
     @cached_property
     def _table_residues(self):
@@ -514,21 +519,14 @@ def _check_closure(algebra, seeds):
     pairs = [(i, j) for i in range(rank) for j in range(len(seed_list))]
     if len(pairs) > _CLOSURE_PAIRS:
         pairs = random.Random(rank).sample(pairs, _CLOSURE_PAIRS)
-    pos = [divmod(c, r) for c in algebra._solver.pivot_cols]
     seed_cols = [list(zip(*g.data)) for g in seed_list]
     seed_mod = cache(_ModReducer([g.data for g in seed_list]).mod)
     bmax, residues = algebra._fast_rows
     tmax = r * bmax * max(g.max_abs() for g in seed_list)
     for lo in range(0, len(pairs), _CLOSURE_CHUNK):
         chunk = pairs[lo:lo + _CLOSURE_CHUNK]
-        zs = []
-        for i, j in chunk:
-            rows, cols = algebra.basis_mats[i].data, seed_cols[j]
-            w = [sum(x * y for x, y in zip(rows[a], cols[c])) for a, c in pos]
-            z = algebra._solver.solve_projected(w)
-            if z is None:
-                raise ValueError("Hecke algebra closure verification failed")
-            zs.append(z)
+        zs = [algebra._product_coords(algebra.basis_mats[i].data,
+                                      seed_cols[j]) for i, j in chunk]
         left = [i for i, _j in chunk]
         right = [j for _i, j in chunk]
 
@@ -569,9 +567,8 @@ def poly_kernel_saturated(t, g):
     restriction vanishes — this proves containment in the kernel, and the
     mod-p corank pins the rank.
     """
-    from .exact_linalg import _modular_kernel, _saturate_kernel_rows
+    from .exact_linalg import _modular_kernel
 
-    n = t.rows
     cs = g.coeffs
     t_mod = _ModReducer(t.data).mod
 
@@ -579,16 +576,8 @@ def poly_kernel_saturated(t, g):
         for p in ps:
             yield np.ascontiguousarray(_poly_mod_horner(t_mod(p), cs, p).T)
 
-    def accept(w_rows, free):
-        try:
-            lat = _saturate_kernel_rows(w_rows, free, n)
-        except ArithmeticError:
-            return None
-        if lat.rank == len(free) and _certify_poly_kernel(t, g, lat):
-            return lat
-        return None
-
-    return _modular_kernel(n, matrix_mod, accept)
+    return _modular_kernel(t.rows, matrix_mod,
+                           partial(_certify_poly_kernel, t, g))
 
 
 def _poly_mod_horner(mat_p, cs, p):
@@ -629,15 +618,8 @@ def _certify_poly_kernel(t, g, lat):
     for c in cs:
         bound += abs(c) * powb
         powb *= max(1, k * mmax)
-    bound = 2 * bound
     m_mod = _ModReducer(coords).mod
-    modulus = 1
-    for p in _word_primes():
-        if np.any(_poly_mod_horner(m_mod(p), cs, p)):
-            return False
-        modulus *= p
-        if modulus > bound:
-            return True
+    return _vanishes(lambda p: _poly_mod_horner(m_mod(p), cs, p), bound)
 
 
 def _candidate_separators(space, algebra):

@@ -12,14 +12,11 @@ each.  The certification / anomaly pipelines check the divisibility and
 equality relations these invariants must satisfy.
 """
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, prod
 
 import numpy as np
-
-_logger = logging.getLogger(__name__)
 
 from .exact_linalg import (
     IntLattice,
@@ -28,8 +25,6 @@ from .exact_linalg import (
     det,
     hnf_with_modulus,
     _mod_p_product,
-    _rref_mod_p,
-    kernel_saturated,
     restrict_operator,
 )
 from .hecke_algebra import (
@@ -126,6 +121,13 @@ class LevelData:
             self._cong_reports[key] = build(self, cls)
         return self._cong_reports[key]
 
+    def deg_cong(self, cls):
+        """(deg_f, cong_f, the primes dividing either, ascending), read off
+        the two congruence reports."""
+        s_rep, t_rep = self.cong_report(cls, "S"), self.cong_report(cls, "T")
+        primes = sorted(s_rep.p_parts.keys() | t_rep.p_parts.keys())
+        return isqrt(s_rep.total_order), t_rep.total_order, primes
+
     def m_primary_orders(self, cls, p, carrier):
         """The m-primary orders of a class's "S" or "T" module over p, once."""
         key = (cls.label, p, carrier)
@@ -172,94 +174,39 @@ def _annihilator_of(algebra, sublattice):
     """{t in T : t acts as zero on the sublattice}, in T-coordinates.
 
     T[e_f] is the annihilator of the isotypic piece, so both idempotent
-    kernels of T are instances of this computation.
-
-    The stacked action matrix is never formed exactly: x annihilates the
-    sublattice iff sum_m x_m (L b_m) == 0, with L the lattice basis: the
-    condition in lattice coordinates differs by the injective map "express
-    in the basis", so the kernels agree.  Row m of the action matrix R is
-    L b_m flattened.  A pivot-column set is chosen modulo one prime; the
-    exact values of R on those columns come from a CRT whose modulus
-    exceeds twice the a-priori entry bound n*lmax*bmax, so they are exact.
-    The saturated kernel of that exact projection contains the
-    annihilator; the final bound-aware multimodular check that it kills
-    all of R proves the reverse inclusion.
+    kernels of T are instances of this computation.  x annihilates the
+    sublattice iff sum_m x_m (L b_m) == 0, with L the lattice basis, so
+    with R the stacked action (row m is L b_m flattened) the annihilator is
+    the saturated kernel of the tall R^T: one _modular_kernel call, which
+    sees R only modulo word primes.  A candidate is proved to kill all of
+    R exactly, an entry of v R being at most d max|v| n max|L| max|b| in
+    size (_vanishes).  This is sound because the mod-p rank never exceeds
+    the rank over Q: an unlucky prime can only leave a candidate too large,
+    which that check against all of R rejects.
     """
-    from .exact_linalg import _crt_rows, _matmul_mod, _ModReducer, _word_primes
+    from .exact_linalg import (_matmul_mod, _ModReducer, _modular_kernel,
+                               _vanishes)
 
     d = algebra.rank
     if sublattice.rank == 0:
         return IntLattice.standard(d)
     lb = sublattice.basis
     k, n = lb.rows, lb.cols
-    lmax = lb.max_abs()
     bmax, b_residues = algebra._fast_rows
-    ebound = n * lmax * bmax  # bound on any entry of R
-    _logger.debug(
-        "annihilator: d=%d k=%d n=%d lmax %d bits, bmax %d bits",
-        d, k, n, lmax.bit_length(), bmax.bit_length())
-    l_red = _ModReducer(lb.data)
+    ebound = n * lb.max_abs() * bmax  # bound on any entry of R
+    l_mod = _ModReducer(lb.data).mod
 
     def rows_mod(p):
         bp = b_residues(p).reshape(d, n, n)
-        return _matmul_mod(l_red.mod(p), bp, p).reshape(d, k * n)
+        return _matmul_mod(l_mod(p), bp, p).reshape(d, k * n)
 
-    prime_iter = _word_primes()
-    for _attempt in range(3):
-        p0 = next(prime_iter)
-        _red, pivots = _rref_mod_p(rows_mod(p0), p0)
-        r = len(pivots)
-        _logger.debug("annihilator: rank %d mod %d", r, p0)
-        if r == 0:
-            return IntLattice.standard(d)
-        kk_list = [j // n for j in pivots]
-        nn_list = [j % n for j in pivots]
+    def kills_r(lat):
+        v_mod = _ModReducer(lat.basis.data, (lat.rank, d)).mod
+        return _vanishes(lambda p: _matmul_mod(v_mod(p), rows_mod(p), p),
+                         d * lat.basis.max_abs() * ebound)
 
-        def proj_mod(p):
-            # entry (m, i) is row kk_i of L times column nn_i of b_m
-            lsel = l_red.mod(p)[kk_list][:, None, :]
-            sel = b_residues(p).reshape(d, n, n)[:, :, nn_list]
-            return _matmul_mod(lsel, sel.transpose(2, 1, 0), p)[:, 0, :].T
-
-        # exact pivot columns of R by CRT against the a-priori bound
-        parts = [(p0, proj_mod(p0))]
-        modulus = p0
-        while modulus <= 2 * ebound:
-            p = next(prime_iter)
-            parts.append((p, proj_mod(p)))
-            modulus *= p
-        proj = IntMatrix.from_rows(_crt_rows(parts, modulus), r)
-        _logger.debug("annihilator: exact projection built (%d bits), "
-                      "computing saturated kernel", modulus.bit_length())
-        kern = kernel_saturated(proj.transpose())
-        _logger.debug("annihilator: kernel rank %d, verifying", kern.rank)
-        if kern.rank == 0:
-            return kern
-        # tripwire: the kernel must kill all of R, proved multimodularly;
-        # a failure means the pivot prime undercounted the rank — retry
-        vmax = kern.basis.max_abs()
-        need = 2 * d * vmax * ebound
-        _logger.debug("annihilator: vmax %d bits, verification needs "
-                      "%d bits", vmax.bit_length(), need.bit_length())
-        v_mod = _ModReducer(kern.basis.data).mod
-        modulus = 1
-        good = True
-        checked = 0
-        for p in _word_primes():
-            if np.any(_matmul_mod(v_mod(p), rows_mod(p), p)):
-                good = False
-                break
-            modulus *= p
-            checked += 1
-            if checked % 200 == 0:
-                _logger.debug("annihilator: verification at %d / %d bits",
-                              modulus.bit_length(), need.bit_length())
-            if modulus > need:
-                break
-        if good:
-            _logger.debug("annihilator: verified")
-            return kern
-    raise ValueError("projected annihilator kernel is not exact")
+    return _modular_kernel(d, lambda ps: (rows_mod(p).T for p in ps),
+                           kills_r)
 
 
 # ---------------------------------------------------------------------------
@@ -483,9 +430,7 @@ def deg_cong_report(n, analyze_ideals=True, primes=None, class_index=None):
     for cls in data.classes:
         if class_index is not None and cls.label[1] != class_index:
             continue
-        deg = isqrt(data.cong_report(cls, "S").total_order)
-        cong = data.cong_report(cls, "T").total_order
-        prime_set = sorted(set(factorize(deg)) | set(factorize(cong)))
+        deg, cong, prime_set = data.deg_cong(cls)
         prime_entries = []
         for p in prime_set:
             od, oc = _ord_p(deg, p), _ord_p(cong, p)
@@ -549,9 +494,7 @@ def manin_certify(n):
     for cls in data.classes:
         if cls.dimension != 1:
             continue
-        deg = modular_degree(data.space, cls)
-        cong = cong_number(data.algebra, cls)
-        primes = sorted(set(factorize(deg)) | set(factorize(cong)))
+        deg, cong, primes = data.deg_cong(cls)
         verdicts = {}
         for p in primes:
             if n % (p * p) == 0:

@@ -13,6 +13,7 @@ All spaces and operators are immutable once built.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 import numpy as np
@@ -47,17 +48,50 @@ _CHUNK_ENTRIES = 1 << 16
 
 
 def factorize(n):
-    """{p: e} with n = prod p^e for n >= 1, primes ascending (trial division)."""
+    """{p: e} with n = prod p^e for n >= 1, primes ascending.
+
+    Trial division below 2^10; each cofactor left is then certified prime
+    by is_prime or split by Brent-Pollard rho.  A cofactor at or above
+    MR_BOUND, which is_prime cannot certify, raises ArithmeticError.
+    """
     out = {}
     d = 2
-    while d * d <= n:
+    while d < 1 << 10 and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m >= MR_BOUND:
+            raise ArithmeticError(f"cannot certify the factors of {m}, "
+                                  f"which is not below {MR_BOUND}")
+        if d * d > m or is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
+    return dict(sorted(out.items()))
+
+
+def _rho_factor(n):
+    """A proper factor of an odd composite n: Pollard's rho on x^2 + c for
+    c = 1, 2, ... in turn, with Brent's cycle search (R. P. Brent, "An
+    improved Monte Carlo factorization algorithm", BIT 20, 1980).
+    """
+    for c in count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 # Miller-Rabin with the first 13 prime bases (2..41) is deterministic below

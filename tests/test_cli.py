@@ -97,6 +97,17 @@ def test_invariants_refuses_a_primes_entry_past_the_test_bound(runner):
         f"(limit {MR_BOUND}); refused"]
 
 
+@pytest.mark.parametrize("command", ["invariants", "scan"])
+def test_level_that_cannot_be_factored_is_refused(runner, command):
+    from maninforge.modsym import MR_BOUND
+
+    # MR_BOUND is the product of two primes above 2^40
+    level = str(MR_BOUND)
+    res = runner.invoke(main, [command, level] + [level] * (command == "scan"))
+    assert res.exit_code == EXIT_REFUSED
+    assert res.output.strip().endswith("; refused")
+
+
 def test_invariants_accepts_large_primes(runner):
     # primality is decided by Miller-Rabin, not by trial division up to sqrt
     res = runner.invoke(main, ["invariants", "11", "--json", "--primes",

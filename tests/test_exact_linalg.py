@@ -105,6 +105,19 @@ def test_kernel_saturated_spec_example():
     assert k.basis.data == ((2, -1),)
 
 
+@pytest.mark.parametrize("extra", [[], [[2, 0, 0], [0, 3, 3], [1, 2, 2]]])
+def test_kernel_survives_an_unlucky_first_prime(extra):
+    # the first word prime p kills the second row, so the pivot set (and,
+    # for the taller matrix, the rows) fixed there give a kernel too large
+    # at every later prime: only a restart from a fresh prime recovers it
+    from maninforge.exact_linalg import _word_primes
+
+    p = next(_word_primes())
+    rows = [[1, 0, 0], [0, p, p]] + [[a, b * p, c * p] for a, b, c in extra]
+    k = kernel_saturated(IntMatrix.from_rows(rows, 3))
+    assert k.basis.data == ((0, 1, -1),)
+
+
 def test_kernel_is_saturated():
     rng = random.Random(5)
     for _ in range(30):

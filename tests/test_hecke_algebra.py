@@ -397,7 +397,7 @@ def test_closure_tripwire_catches_a_corrupted_basis_row():
 
 
 def test_span_check_uses_enough_primes():
-    from maninforge.exact_linalg import _ModReducer, _word_primes
+    from maninforge.exact_linalg import _ModReducer, _vanishes, _word_primes
 
     alg = build_hecke_algebra(build_space(46))
     unit = alg.unit_coords()
@@ -409,6 +409,9 @@ def test_span_check_uses_enough_primes():
     ident[1] += m
     assert not alg._combines_to(
         [unit], _ModReducer(ident, (1, len(ident))).mod, m)
+    # the same array, zero modulo the first two primes, checked directly
+    assert not _vanishes(lambda p: [0, m % p], m)
+    assert _vanishes(lambda p: [0, 0], m)
 
 
 def _mod_p_rank(rows, p):

@@ -13,6 +13,7 @@ from math import gcd
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from maninforge.exact_linalg import IntMatrix, kernel_saturated, restrict_operator
 from maninforge.hecke_algebra import primes_upto, sturm_bound
@@ -360,6 +361,29 @@ def test_factorize_matches_sympy():
     for n in range(2, 2001):
         assert factorize(n) == sympy.factorint(n), n
     assert list(factorize(2 * 3 * 5 * 7 * 11)) == [2, 3, 5, 7, 11]
+
+
+def test_factorize_splits_large_semiprimes():
+    # trial division alone would take minutes on these
+    for p, q in [(1000000007, 1000000009), (999999929, 999999937),
+                 (2147483647, 2147483647), (4294967279, 4294967291)]:
+        assert factorize(p * q) == sympy.factorint(p * q)
+    assert factorize(2**10 * 6947 * 1000000007) == {
+        2: 10, 6947: 1, 1000000007: 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+def test_hypothesis_factorize_matches_sympy(n):
+    assert factorize(n) == sympy.factorint(n)
+
+
+def test_factorize_refuses_an_uncertifiable_factor():
+    # MR_BOUND is a product of two primes above 2^40, and the next prime
+    # above it cannot be certified at all
+    for n in (MR_BOUND, 12 * sympy.nextprime(MR_BOUND)):
+        with pytest.raises(ArithmeticError):
+            factorize(n)
 
 
 def test_is_prime_matches_sympy():
