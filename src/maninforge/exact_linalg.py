@@ -991,17 +991,19 @@ def quotient_invariants(l, l_sub):
 
 
 def complement_projection(lattice):
-    """Projection and section for the free quotient Z^n / L (L saturated).
+    """Projection, section and coordinates for Z^n / L (L saturated).
 
-    Returns (P, S): P is n x m with x -> x*P the quotient map onto Z^m,
-    S is m x n with S*P = identity.  Raises if L is not saturated.
+    Returns (P, S, C): P is n x m with x -> x*P the quotient map onto Z^m,
+    S is m x n with S*P = identity, and C is n x r with B*C = identity for
+    L's basis B.  [C | P] is the column reduction V with B*V = [I | 0].
+    Raises if L is not saturated.
     """
     n = lattice.ambient_dim
     r = lattice.rank
     m = n - r
     if r == 0:
         ident = IntMatrix.identity(n)
-        return ident, ident
+        return ident, ident, IntMatrix.zeros(n, 0)
     B = [list(row) for row in lattice.basis.data]
     V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     W = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -1053,7 +1055,8 @@ def complement_projection(lattice):
                 col_add(i, j, -B[i][j])
     P = IntMatrix.from_rows([row[r:] for row in V], m)
     S = IntMatrix.from_rows(W[r:], n)
-    return P, S
+    C = IntMatrix.from_rows([row[:r] for row in V], r)
+    return P, S, C
 
 
 def restrict_operator(lattice, action):

@@ -553,7 +553,6 @@ class NewformClass:
     g_poly: object  # irreducible defining factor of the separating element
     space: object = field(repr=False, default=None)
     separator: object = field(repr=False, default=None)  # t on S
-    radical_full: object = field(repr=False, default=None)  # radical of charpoly(t | S)
     eigenvalues: dict = field(default_factory=dict)
 
 
@@ -686,14 +685,11 @@ def decompose_new(space, algebra):
         rad_new = squarefree_radical(charpoly_int(t_new))
         if rad_new.degree != target:
             continue
-        if new.rank == space.cuspidal_rank:
-            rad_full = rad_new
-        else:
+        if new.rank != space.cuspidal_rank:
             t_mod = _ModReducer(t.data).mod
             if not any(_corank_mod_p(t_mod(p), rad_new, p) == new.rank
                        for p in primes):
                 continue
-            rad_full = squarefree_radical(charpoly_int(t))
         _logger.debug("decompose: factoring radical of degree %d", rad_new.degree)
         classes = []
         for idx, g in enumerate(factor_q(rad_new)):
@@ -713,7 +709,6 @@ def decompose_new(space, algebra):
                     g_poly=g,
                     space=space,
                     separator=t,
-                    radical_full=rad_full,
                 )
             )
         return classes
@@ -1122,20 +1117,22 @@ def _column_span_index(rows, d):
 
 
 def u_p_unit_check(cls, p):
-    """Sign of U_p on the isotypic lattice (must be an exact ±identity)."""
+    """Sign of U_p on the isotypic lattice: B * U_p == ±B exactly for its
+    basis B, as U_p = -w_p on p-new forms and w_p is an involution.  Any
+    other action is a bug, and raises InvariantViolation."""
     n = cls.space.n
     if n % p:
         raise ValueError("not applicable: p does not divide the level")
     if (n // p) % p == 0:
         raise ValueError("not applicable: p^2 divides the level")
-    u = hecke(cls.space, p).matrix
-    restr = restrict_operator(cls.lattice, u)
-    ident = IntMatrix.identity(restr.rows)
-    if restr == ident:
-        return 1
-    if restr == ident.scale(-1):
-        return -1
-    raise ValueError("U_p does not act as ±1 on the isotypic lattice")
+    basis = cls.lattice.basis
+    image = basis * hecke(cls.space, p).matrix
+    for sign in (1, -1):
+        if image == basis.scale(sign):
+            return sign
+    raise InvariantViolation(
+        f"level {n} class {cls.label}: U_{p} does not act as ±1 on the "
+        "isotypic lattice")
 
 
 def lift_idempotent(ring, m, modulus):

@@ -1,11 +1,10 @@
 """Headline arithmetic invariants: congruence modules, cong_f and deg_f.
 
-The congruence number cong_f is the order of T/(T[e_f] + T[e_perp]); the
-modular degree deg_f is the square root of the order of the analogous
-congruence module of the cuspidal lattice S (that order is asserted to be
-a perfect square — a hard internal tripwire).  Both modules are
-Z^r/(K1 + K2) for two kernel lattices of complementary ranks that meet
-in 0, so each order is |det| of the stacked kernel bases.  Local
+cong_f is the order of T/(T[e_f] + T[e_perp]); deg_f is the square root of
+the order of S/(S[e_f] + S[e_perp]) (asserted to be a perfect square — a
+hard internal tripwire).  Each module is Z^m / K, of order |det K|: for T,
+K stacks the bases of T[e_f] and T[e_perp] (_t_module); for S, K is
+A W^T in Z^(2 dim f) (_s_module), so S[e_f] is never formed.  Local
 (m-primary) orders are indices modulo p^k: the image of a lifted
 idempotent of T/p^k in the congruence module mod p^k, one modular HNF
 each.  The certification / anomaly pipelines check the divisibility and
@@ -13,22 +12,24 @@ equality relations these invariants must satisfy.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import isqrt, prod
 
 import numpy as np
 
 from .exact_linalg import (
-    IntLattice,
     IntMatrix,
     InvariantViolation,
+    complement_projection,
     det,
     hnf_with_modulus,
     _mod_p_product,
+    _ModReducer,
     restrict_operator,
 )
 from .hecke_algebra import (
     _is_unit_at,
+    _residues,
     build_hecke_algebra,
     decompose_new,
     poly_kernel_saturated,
@@ -40,7 +41,6 @@ from .hecke_algebra import (
     u_p_unit_check,
 )
 from .modsym import build_space, factorize
-from .polyarith import _exact_poly_div
 
 __all__ = [
     "CongModuleReport",
@@ -78,8 +78,7 @@ class LevelData:
         self.algebra = build_hecke_algebra(self.space)
         self.classes = decompose_new(self.space, self.algebra)
         self._orders = {}
-        self._s_kernels = {}
-        self._t_kernels = {}
+        self._modules = {}
         self._cong_reports = {}
         self._m_primary = {}
         self._max_ideals = {}
@@ -93,32 +92,22 @@ class LevelData:
             self._orders[cls.label] = order_of(self.algebra, cls)
         return self._orders[cls.label]
 
-    def s_kernels(self, cls):
-        """(S[e_f], S[e_perp]) via integer polynomial kernels."""
-        if cls.label not in self._s_kernels:
-            g_rest = _exact_poly_div(cls.radical_full, cls.g_poly)
-            if g_rest is None:
-                raise ValueError("inexact polynomial division")
-            s_ef = poly_kernel_saturated(cls.separator, g_rest)
-            self._s_kernels[cls.label] = (s_ef, cls.lattice)
-        return self._s_kernels[cls.label]
-
-    def t_kernels(self, cls):
-        """(T[e_f], T[e_perp]) as sublattices of the T-coordinate space."""
-        if cls.label not in self._t_kernels:
-            s_ef, s_eperp = self.s_kernels(cls)
-            t_ef = _annihilator_of(self.algebra, s_eperp)
-            t_eperp = _annihilator_of(self.algebra, s_ef)
-            self._t_kernels[cls.label] = (t_ef, t_eperp)
-        return self._t_kernels[cls.label]
+    def module(self, cls, carrier):
+        """The "S" or "T" congruence module of a class, once: (K, act) for
+        Z^m / K, K the m rows of a nonsingular matrix, and act(e, q) the
+        matrix mod q of x -> x * e for e in T / q."""
+        key = (carrier, cls.label)
+        if key not in self._modules:
+            build = _s_module if carrier == "S" else _t_module
+            self._modules[key] = build(self.algebra, cls)
+        return self._modules[key]
 
     def cong_report(self, cls, carrier):
         """The checked "S" or "T" congruence report of a class, computed once."""
         key = (carrier, cls.label)
         if key not in self._cong_reports:
-            build = (_s_congruence_report if carrier == "S"
-                     else _t_congruence_report)
-            self._cong_reports[key] = build(self, cls)
+            self._cong_reports[key] = _cong_report(
+                carrier, cls.label, self.module(cls, carrier)[0])
         return self._cong_reports[key]
 
     def deg_cong(self, cls):
@@ -173,23 +162,19 @@ def level_data(n):
 def _annihilator_of(algebra, sublattice):
     """{t in T : t acts as zero on the sublattice}, in T-coordinates.
 
-    T[e_f] is the annihilator of the isotypic piece, so both idempotent
-    kernels of T are instances of this computation.  x annihilates the
-    sublattice iff sum_m x_m (L b_m) == 0, with L the lattice basis, so
-    with R the stacked action (row m is L b_m flattened) the annihilator is
-    the saturated kernel of the tall R^T: one _modular_kernel call, which
-    sees R only modulo word primes.  A candidate is proved to kill all of
-    R exactly, an entry of v R being at most d max|v| n max|L| max|b| in
-    size (_vanishes).  This is sound because the mod-p rank never exceeds
-    the rank over Q: an unlucky prime can only leave a candidate too large,
-    which that check against all of R rejects.
+    x annihilates the sublattice iff sum_m x_m (L b_m) == 0, with L the
+    lattice basis, so with R the stacked action (row m is L b_m flattened)
+    the annihilator is the saturated kernel of the tall R^T: one
+    _modular_kernel call, which sees R only modulo word primes.  A
+    candidate is proved to kill all of R exactly, an entry of v R being at
+    most d max|v| n max|L| max|b| in size (_vanishes).  This is sound
+    because the mod-p rank never exceeds the rank over Q: an unlucky prime
+    can only leave a candidate too large, which that check against all of R
+    rejects.
     """
-    from .exact_linalg import (_matmul_mod, _ModReducer, _modular_kernel,
-                               _vanishes)
+    from .exact_linalg import _matmul_mod, _modular_kernel, _vanishes
 
     d = algebra.rank
-    if sublattice.rank == 0:
-        return IntLattice.standard(d)
     lb = sublattice.basis
     k, n = lb.rows, lb.cols
     bmax, b_residues = algebra._fast_rows
@@ -213,6 +198,60 @@ def _annihilator_of(algebra, sublattice):
 # congruence modules
 
 
+def _t_module(algebra, cls):
+    """T / (T[e_f] + T[e_perp]) in T-coordinates, as LevelData.module.
+
+    T[e_f] = Ann_T(S_f), and T[e_perp] = Ann_T(S[e_f]) = {x : x g(t) = 0},
+    as T (x) Q is a product of fields and g(t) vanishes exactly on the
+    factor of f: the kernel of g(M_t), M_t the matrix of y -> y t (row i
+    the coordinates of b_i t, in T as t is).  Kernels of complementary
+    idempotents meet in 0, so ranks not adding up to rank T raise.
+    """
+    d = algebra.rank
+    t_cols = list(zip(*cls.separator.data))
+    m_t = IntMatrix.from_rows([algebra._product_coords(b.data, t_cols)
+                               for b in algebra.basis_mats], d)
+    t_ef = _annihilator_of(algebra, cls.lattice)
+    t_eperp = poly_kernel_saturated(m_t, cls.g_poly)
+    if t_ef.rank + t_eperp.rank != d:
+        raise InvariantViolation(f"T module {cls.label}: ranks {t_ef.rank} + "
+                                 f"{t_eperp.rank} are not complementary")
+    return t_ef.basis.data + t_eperp.basis.data, algebra.mult_matrix
+
+
+def _s_module(algebra, cls):
+    """S / (S[e_f] + S_f) as Z^2k / (A W^T), k = dim f, as LevelData.module.
+
+    A is the basis of S_f, the row kernel of g(t), and W (rank 2k) the
+    saturated column kernel.  t is semisimple, and left and right
+    eigenvectors u, w of distinct eigenvalues are orthogonal (u t w =
+    lambda u w = mu u w).  S[e_f] is spanned by left eigenvectors of the
+    non-roots of g, W by right ones of the roots, so S[e_f] = W^perp, and
+    v -> v W^T maps Z^r onto Z^2k with kernel S[e_f]: |det(A W^T)| = deg_f^2.
+    x in T, with matrix E on S, preserves S[e_f] and acts on Z^2k by
+    E_W = C^T E W^T, W C = I (complement_projection): y lifts to y C^T.
+    """
+    r2 = cls.lattice.rank
+    w = poly_kernel_saturated(cls.separator.transpose(), cls.g_poly)
+    if w.rank != r2:
+        raise InvariantViolation(f"S module {cls.label}: the column kernel of "
+                                 f"g(t) has rank {w.rank}, not {r2}")
+    w_t = w.basis.transpose()
+
+    @cache
+    def basis_acts():  # C^T b W^T for the basis of T, exactly
+        c_t = complement_projection(w)[2].transpose()
+        return _ModReducer([(c_t * b * w_t).data for b in algebra.basis_mats],
+                           (algebra.rank, r2 * r2))
+
+    def act(x, q):
+        dtype, matmul = _mod_p_product(q)
+        return matmul(_residues(x, q, dtype),
+                      basis_acts().mod(q).astype(dtype)).reshape(r2, r2)
+
+    return (cls.lattice.basis * w_t).data, act
+
+
 @dataclass
 class CongModuleReport:
     carrier: str  # "T" | "S"
@@ -221,35 +260,29 @@ class CongModuleReport:
     p_parts: dict  # p -> p-part of the total order
 
     def check(self):
-        prod = 1
-        for v in self.p_parts.values():
-            prod *= v
-        if prod != self.total_order:
+        total = prod(self.p_parts.values())
+        if total != self.total_order:
             raise InvariantViolation(
                 f"{self.carrier} module {self.label}: p-parts multiply to "
-                f"{prod}, not the order {self.total_order}")
+                f"{total}, not the order {self.total_order}")
 
 
-def _cong_report(carrier, label, k1, k2):
-    """Report on Z^r / (K1 + K2) for two kernel lattices in Z^r.
-
-    K1 and K2 are the kernels of complementary idempotents, so they meet
-    in 0 and their ranks add up to r: the stacked bases are a basis of
-    K1 + K2, and the order of the quotient is the absolute determinant of
-    the stack, at every rank.  Ranks that do not add up to r are a
-    violated invariant; a zero determinant (K1 and K2 meet) leaves an
-    infinite module.
-    """
-    r = k1.ambient_dim
-    if k1.rank + k2.rank != r:
-        raise InvariantViolation(
-            f"{carrier} module {label}: kernel ranks {k1.rank} + {k2.rank} "
-            f"are not complementary in rank {r}")
-    total = abs(det(IntMatrix.from_rows(k1.basis.data + k2.basis.data, r)))
+def _cong_report(carrier, label, rows):
+    """The checked report on Z^m / K, K given by its m rows: the order is
+    |det K|, and a zero determinant leaves an infinite module.  An "S"
+    module's order must be a perfect square, deg_f^2."""
+    total = abs(det(IntMatrix.from_rows(rows, len(rows))))
     if total == 0:
         raise ValueError("congruence module is not finite")
-    p_parts = {p: p**e for p, e in factorize(total).items()}
-    return CongModuleReport(carrier, label, total, p_parts)
+    rep = CongModuleReport(carrier, label, total,
+                           {p: p**e for p, e in factorize(total).items()})
+    rep.check()
+    if carrier == "S" and isqrt(total) ** 2 != total:
+        raise AssertionError(
+            "S-congruence module order is not a perfect square: "
+            f"level {label[0]} class {label} order {total} "
+            f"p-parts {rep.p_parts}")
+    return rep
 
 
 def cong_number(algebra, cls):
@@ -262,28 +295,6 @@ def modular_degree(space, cls):
     return isqrt(level_data(space.n).cong_report(cls, "S").total_order)
 
 
-def _s_congruence_report(data, cls):
-    """The S-congruence report, whose order must be a perfect square."""
-    s_ef, s_eperp = data.s_kernels(cls)
-    rep = _cong_report("S", cls.label, s_ef, s_eperp)
-    rep.check()
-    root = isqrt(rep.total_order)
-    if root * root != rep.total_order:
-        raise AssertionError(
-            "S-congruence module order is not a perfect square: "
-            f"level {data.n} class {cls.label} order {rep.total_order} "
-            f"p-parts {rep.p_parts}"
-        )
-    return rep
-
-
-def _t_congruence_report(data, cls):
-    t_ef, t_eperp = data.t_kernels(cls)
-    rep = _cong_report("T", cls.label, t_ef, t_eperp)
-    rep.check()
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # m-primary orders via lifted idempotents
 
@@ -291,46 +302,36 @@ def _t_congruence_report(data, cls):
 def _m_primary_orders(data, cls, p, carrier):
     """Orders of the m-primary pieces of a congruence module, per MaxIdeal.
 
-    carrier "T" uses the T-congruence module (cong), "S" the S-module
-    (square of deg).  Returns {MaxIdeal index: order} aligned with
-    data.max_ideals(p).
-
-    The module is M = Z^r / K with K = K1 + K2 the two kernel lattices.
-    Its p-part M_p has order p^a (from cong_report), so with q = p^(a+1)
-    M_p is M / qM (the part prime to p is divisible by q), and the lift e
-    of the idempotent of m to T / q acts on it as x -> x * E.  The
-    m-primary piece e M_p is then Z^r / (K + (1 - E) Z^r + q Z^r), whose
-    order is the product of the diagonal of a modular HNF.  H, the HNF of
-    K + q Z^r, is found once.  A column c where H has pivot 1 carries
-    nothing: x and x - x_c H[c] agree in the quotient, and H, being
-    reduced, is zero on the other such columns.  So proj, which clears those
-    columns, maps Z^r onto the live columns, where H's live block
-    presents M / qM, and each ideal costs one HNF of (I - E) proj there.
+    Returns {MaxIdeal index: order} aligned with data.max_ideals(p), for
+    the "T" (cong) or "S" (deg^2) module M = Z^m / K, (K, act) =
+    data.module(cls, carrier).  Its p-part M_p has order p^a (from
+    cong_report), so with q = p^(a+1) M_p is M / qM (the part prime to p
+    is divisible by q), and the lift e of the idempotent of m to T / q acts
+    on it as E = act(e, q).  The m-primary piece e M_p is then
+    Z^m / (K + (1 - E) Z^m + q Z^m), whose order is the product of the
+    diagonal of a modular HNF.  H, the HNF of K + q Z^m, is found once.  A column c where H has pivot 1 carries nothing: x and
+    x - x_c H[c] agree in the quotient, and H, being reduced, is zero on
+    the other such columns.  So proj, which clears those columns, maps Z^m
+    onto the live columns, where H's live block presents M / qM, and each
+    ideal costs one HNF of (I - E) proj there.
     """
-    algebra = data.algebra
     ideals = data.max_ideals(p)
     p_part = data.cong_report(cls, carrier).p_parts.get(p, 1)
     if p_part == 1:
         return {i: 1 for i in range(len(ideals))}
     q = p * p_part
-    k1, k2 = data.t_kernels(cls) if carrier == "T" else data.s_kernels(cls)
-    r = k1.ambient_dim
-    h = hnf_with_modulus(list(k1.basis.data) + list(k2.basis.data), r, q)
+    k_rows, act = data.module(cls, carrier)
+    r = len(k_rows)
+    h = hnf_with_modulus(k_rows, r, q)
     live = [c for c in range(r) if h[c][c] != 1]
     h_live = [[h[c][j] for j in live] for c in live]
     dtype, matmul = _mod_p_product(q)
     proj = np.array([[(-h[c][j]) % q for j in live] if h[c][c] == 1 else
                      [int(c == j) for j in live] for c in range(r)],
                     dtype=dtype)
-    if carrier == "S":
-        acts = algebra._basis_reducer.mod(q).astype(dtype)
     out = {}
     for mi, m in enumerate(ideals):
-        e = lift_idempotent(algebra, m, q)
-        if carrier == "T":
-            e_mat = algebra.mult_matrix(e, q)
-        else:
-            e_mat = matmul(np.array(e, dtype=dtype), acts).reshape(r, r)
+        e_mat = act(lift_idempotent(data.algebra, m, q), q)
         rows = matmul((np.eye(r, dtype=dtype) - e_mat) % q, proj).tolist()
         quot = hnf_with_modulus(rows + h_live, len(live), q)
         out[mi] = prod(quot[i][i] for i in range(len(live)))
@@ -381,10 +382,7 @@ def _ideal_diagnostics(data, cls, p, cong_orders, deg_orders):
     n = data.n
     u_sign = None
     if n % p == 0 and (n // p) % p:
-        try:
-            u_sign = u_p_unit_check(cls, p)
-        except ValueError:
-            u_sign = None
+        u_sign = u_p_unit_check(cls, p)
     records = []
     for mi, m_t in enumerate(data.max_ideals(p)):
         cong_m = cong_orders[mi]

@@ -342,7 +342,7 @@ class ModSymSpace:
         # torsion-free quotient M = Z^m0 / (saturation of the relation rows)
         ortho = kernel_saturated(relations)
         sat_rows = kernel_saturated(ortho.basis) if ortho.rank else IntLattice.standard(m0)
-        self.proj, self.sec = complement_projection(sat_rows)
+        self.proj, self.sec, _coords = complement_projection(sat_rows)
         self.rank = self.proj.cols
         # a map on M is sec * (generator images) * proj, and sec reads only
         # the generators in `need`, so only their images are ever computed

@@ -171,12 +171,17 @@ def test_complement_projection_roundtrip():
         lat = kernel_saturated(kernel_saturated(m).basis)
         if lat.rank == 0 or lat.rank == amb:
             continue
-        proj, sec = complement_projection(lat)
+        proj, sec, coords = complement_projection(lat)
         assert (sec * proj) == IntMatrix.identity(proj.cols)
         # lattice rows map to zero is NOT expected; rows of lat span the kernel
         # of proj composed appropriately: proj kills exactly the lattice
         img = lat.basis * proj
         assert all(not any(r) for r in img.data)
+        # coords reads lattice coordinates: B * C = I, and [C | P] is
+        # unimodular, so x -> x * C maps Z^n onto Z^rank
+        assert lat.basis * coords == IntMatrix.identity(lat.rank)
+        stacked = [list(c) + list(p) for c, p in zip(coords.data, proj.data)]
+        assert abs(det(IntMatrix.from_rows(stacked, amb))) == 1
 
 
 def test_restrict_operator():

@@ -73,26 +73,36 @@ def test_decomposition_fills_new_space(n):
 
 def test_idempotents_are_orthogonal():
     # e_f + e_perp = 1 and e_f * e_perp = 0 say, on lattices, that the two
-    # kernels of each carrier have complementary ranks and meet in 0; and
-    # S[e_f] is the kernel of g_rest(t), g_rest the other factors of the
-    # separator's radical, checked on the exact matrix g_rest(t)
+    # kernels of each carrier have complementary ranks and meet in 0, and
+    # that T[e_perp] kills S[e_f] and T[e_f] kills S_f.  S[e_f] is sympy's
+    # saturated kernel of g_rest(t), g_rest the other factors of the
+    # separator's radical; it lies in W^perp, W the column kernel of g(t)
+    from test_invariants import sympy_old_lattices
+
     from maninforge.exact_linalg import hnf_basis
+    from maninforge.hecke_algebra import poly_kernel_saturated
     from maninforge.invariants import level_data
-    from maninforge.polyarith import _exact_poly_div
 
     data = level_data(57)
+    r, d = data.space.cuspidal_rank, data.algebra.rank
     for cls in data.classes:
-        for r, (k1, k2) in [(data.space.cuspidal_rank, data.s_kernels(cls)),
-                            (data.algebra.rank, data.t_kernels(cls))]:
-            assert k1.rank + k2.rank == r
-            stacked = [list(v) for v in k1.basis.data + k2.basis.data]
-            assert len(hnf_basis(stacked, r)) == r
-        s_ef, s_eperp = data.s_kernels(cls)
-        assert s_eperp == cls.lattice
-        g_rest = _exact_poly_div(cls.radical_full, cls.g_poly)
-        assert g_rest * cls.g_poly == cls.radical_full
-        assert (s_ef.basis * g_rest.evaluate_matrix(cls.separator)).is_zero()
-        assert (s_eperp.basis
+        s_ef = sympy_old_lattices(57, cls.label[1])[0]
+        s_f = [list(v) for v in cls.lattice.basis.data]
+        t_rows = data.module(cls, "T")[0]
+        t_ef, t_eperp = t_rows[:d - cls.dimension], t_rows[d - cls.dimension:]
+        for rank, k1, k2 in [(r, s_ef, s_f), (d, t_ef, t_eperp)]:
+            assert len(k1) + len(k2) == rank
+            assert len(hnf_basis([list(v) for v in k1 + k2], rank)) == rank
+        s_ef = IntMatrix.from_rows(s_ef, r)
+        for x in t_eperp:
+            assert (s_ef * data.algebra.matrix_of(list(x))).is_zero()
+        for x in t_ef:
+            assert (cls.lattice.basis
+                    * data.algebra.matrix_of(list(x))).is_zero()
+        w = poly_kernel_saturated(cls.separator.transpose(), cls.g_poly)
+        assert w.rank == 2 * cls.dimension
+        assert (s_ef * w.basis.transpose()).is_zero()
+        assert (cls.lattice.basis
                 * cls.g_poly.evaluate_matrix(cls.separator)).is_zero()
 
 
@@ -237,23 +247,28 @@ def test_empty_level_has_no_classes():
 
 
 def test_poly_kernel_saturated_characterized():
+    # row kernels of g(t) and of sympy's g_rest(t), and column kernels
+    # W = poly_kernel_saturated(t^T, g), with g(t) W^T = 0
+    from test_invariants import sympy_g_rest
+
     from maninforge.exact_linalg import hnf_basis, snf
     from maninforge.hecke_algebra import poly_kernel_saturated
-    from maninforge.polyarith import _exact_poly_div
+    from maninforge.invariants import level_data
+    from maninforge.polyarith import IntPoly
 
-    space = build_space(89)
-    algebra = build_hecke_algebra(space)
-    for cls in decompose_new(space, algebra):
-        for g in [cls.g_poly,
-                  _exact_poly_div(cls.radical_full, cls.g_poly)]:
-            if g.degree == 0:
-                continue
-            k = poly_kernel_saturated(cls.separator, g)
-            g_t = g.evaluate_matrix(cls.separator)
-            assert (k.basis * g_t).is_zero()
-            assert k.rank == g_t.rows - len(
-                hnf_basis([list(r) for r in g_t.data], g_t.cols))
-            assert snf(k.basis) == (1,) * k.rank
+    for n in (89, 66):  # 66 has old forms
+        for cls in level_data(n).classes:
+            g_rest = IntPoly(sympy_g_rest(n, cls.label[1]))
+            for t in (cls.separator, cls.separator.transpose()):
+                for g in (cls.g_poly, g_rest):
+                    if g.degree == 0:
+                        continue
+                    k = poly_kernel_saturated(t, g)
+                    g_t = g.evaluate_matrix(t)
+                    assert (k.basis * g_t).is_zero()
+                    assert k.rank == g_t.rows - len(
+                        hnf_basis([list(r) for r in g_t.data], g_t.cols))
+                    assert snf(k.basis) == (1,) * k.rank
 
 
 @pytest.mark.parametrize("n, n_classes", [(78, 1), (130, 3)])

@@ -7,10 +7,11 @@ classes have degree 2, ...).
 """
 
 import json
+from functools import cache
 
 import pytest
 
-from maninforge.exact_linalg import IntLattice
+from maninforge.exact_linalg import IntLattice, InvariantViolation
 from maninforge.hecke_algebra import is_dvr, maximal_ideals
 from maninforge.invariants import (
     anomaly_scan,
@@ -22,6 +23,59 @@ from maninforge.invariants import (
     modular_degree,
     report_to_json,
 )
+
+
+def sympy_saturated_kernel(rows):
+    """{v in Z^n : v M = 0} for the n integer rows of M, from sympy's Smith
+    decomposition S = U M V: v M = 0 iff (v U^-1) S = 0, so the rows of the
+    unimodular U past the rank of M are a basis, and a saturated one."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_decomp
+
+    smith, u, _v = smith_normal_decomp(Matrix(rows), domain=ZZ)
+    rank = sum(1 for i in range(min(smith.shape)) if smith[i, i])
+    return [[int(x) for x in u.row(i)] for i in range(rank, smith.rows)]
+
+
+@cache
+def sympy_g_rest(n, index):
+    """sqf_part(charpoly t) / g, ascending, for class index at level n."""
+    from sympy import Matrix, Poly, div, sqf_part, symbols
+
+    cls = level_data(n).classes[index]
+    x = symbols("x")
+    rad = sqf_part(Poly(Matrix(cls.separator.data).charpoly(x).as_expr(), x))
+    quo, rem = div(rad, Poly(list(reversed(cls.g_poly.coeffs)), x))
+    assert rem.is_zero
+    return [int(c) for c in reversed(quo.all_coeffs())]
+
+
+@cache
+def sympy_old_lattices(n, index):
+    """The big lattices deg and cong were once read from, built by sympy
+    alone: S[e_f], the saturated kernel of g_rest(t), and T[e_f] and
+    T[e_perp], the saturated annihilators in T of S_f and of S[e_f].
+
+    x annihilates L iff x R = 0, R the stacked action (row m is L b_m
+    flattened), iff x R R^T = 0 over Q: the same saturated kernel.
+    """
+    from sympy import Matrix, eye, zeros
+
+    data = level_data(n)
+    cls = data.classes[index]
+    t = Matrix(cls.separator.data)
+    g_rest = zeros(t.rows)
+    for c in reversed(sympy_g_rest(n, index)):
+        g_rest = g_rest * t + c * eye(t.rows)
+    s_ef = sympy_saturated_kernel(g_rest.tolist())
+    mats = [Matrix(b.data) for b in data.algebra.basis_mats]
+
+    def annihilator(rows):
+        action = Matrix([list(Matrix(rows) * b) for b in mats])
+        return sympy_saturated_kernel((action * action.T).tolist())
+
+    return (s_ef, annihilator([list(v) for v in cls.lattice.basis.data]),
+            annihilator(s_ef))
 
 
 KNOWN_DEGREES = {
@@ -88,8 +142,10 @@ def test_m_primary_orders_multiply_to_global():
 @pytest.mark.parametrize("n", [57, 66, 86])
 def test_m_primary_orders_match_sympy_smith_form(n):
     # oracle: the order of e M_p is the product of the Smith invariants of
-    # [K; I - E; qI], with E the action of the lifted idempotent formed
-    # from exact matrix products and sympy's Smith form over Z
+    # [K; I - E; qI], with K the old stacked kernel bases built by sympy
+    # (S[e_f] + S_f in Z^r, T[e_f] + T[e_perp] in Z^d), E the action of the
+    # lifted idempotent formed from exact matrix products, and sympy's
+    # Smith form over Z
     from math import prod
 
     from sympy import ZZ, Matrix
@@ -102,10 +158,11 @@ def test_m_primary_orders_match_sympy_smith_form(n):
     alg = data.algebra
     checked = set()
     for cls in data.classes:
-        for carrier in "TS":
-            k1, k2 = (data.t_kernels(cls) if carrier == "T"
-                      else data.s_kernels(cls))
-            r = k1.ambient_dim
+        s_ef, t_ef, t_eperp = sympy_old_lattices(n, cls.label[1])
+        stacks = {"S": s_ef + [list(v) for v in cls.lattice.basis.data],
+                  "T": t_ef + t_eperp}
+        for carrier, stack in stacks.items():
+            r = len(stack)
             p_parts = data.cong_report(cls, carrier).p_parts
             for p, p_part in p_parts.items():
                 q = p * p_part
@@ -118,7 +175,7 @@ def test_m_primary_orders_match_sympy_smith_form(n):
                     else:
                         e_rows = e_mat.data
                     stacked = (
-                        [list(row) for row in k1.basis.data + k2.basis.data]
+                        stack
                         + [[(int(i == j) - x) % q for j, x in enumerate(row)]
                            for i, row in enumerate(e_rows)]
                         + [[q * int(i == j) for j in range(r)]
@@ -221,28 +278,38 @@ def test_trivial_class_at_11():
 
 
 def test_annihilator_characterized():
+    # _annihilator_of on S_f and on sympy's S[e_f], each characterized
+    # exactly; the program's T[e_f] and T[e_perp] must be those two
     from maninforge.exact_linalg import hnf_basis, snf
     from maninforge.invariants import _annihilator_of
 
     for n in (67, 66):  # 66 has old forms
         data = level_data(n)
         algebra = data.algebra
+        d = algebra.rank
         for cls in data.classes:
-            s_ef, s_eperp = data.s_kernels(cls)
-            for sub in (s_ef, s_eperp):
+            s_ef = IntLattice(data.space.cuspidal_rank,
+                              sympy_old_lattices(n, cls.label[1])[0])
+            anns = []
+            for sub in (cls.lattice, s_ef):
                 ann = _annihilator_of(algebra, sub)
                 for x in ann.basis.data:
                     assert (sub.basis * algebra.matrix_of(list(x))).is_zero()
                 action = [[v for row in (sub.basis * b).data for v in row]
                           for b in algebra.basis_mats]
-                assert ann.rank == algebra.rank - len(
-                    hnf_basis(action, len(action[0])))
+                assert ann.rank == d - len(hnf_basis(action, len(action[0])))
                 assert snf(ann.basis) == (1,) * ann.rank
+                anns.append(ann)
+            rows = data.module(cls, "T")[0]
+            split = d - cls.dimension
+            assert [IntLattice(d, rows[:split]),
+                    IntLattice(d, rows[split:])] == anns
 
 
 def test_cong_report_det_path_matches_snf():
-    # oracle: the order of Z^r / (K1 + K2) is the product of sympy's Smith
-    # invariants of the stacked kernel bases over ZZ
+    # oracle: the order of each congruence module is the product of sympy's
+    # Smith invariants of the old stacked kernel bases, S[e_f] + S_f in Z^r
+    # and T[e_f] + T[e_perp] in Z^d, all built by sympy
     from math import prod
 
     from sympy import ZZ, Matrix
@@ -252,10 +319,10 @@ def test_cong_report_det_path_matches_snf():
     for n in [57, 66, 86]:
         data = level_data(n)
         for cls in data.classes:
-            for carrier in "TS":
-                k1, k2 = (data.t_kernels(cls) if carrier == "T"
-                          else data.s_kernels(cls))
-                stacked = [list(row) for row in k1.basis.data + k2.basis.data]
+            s_ef, t_ef, t_eperp = sympy_old_lattices(n, cls.label[1])
+            stacks = {"S": s_ef + [list(v) for v in cls.lattice.basis.data],
+                      "T": t_ef + t_eperp}
+            for carrier, stacked in stacks.items():
                 smith = smith_normal_form(Matrix(stacked), domain=ZZ)
                 want = prod(abs(int(smith[i, i]))
                             for i in range(min(smith.shape)))
@@ -266,21 +333,71 @@ def test_cong_report_det_path_matches_snf():
     assert checked == {"T", "S"}
 
 
-def test_cong_report_refuses_kernels_that_are_not_complementary():
-    from maninforge.exact_linalg import InvariantViolation
-    from maninforge.invariants import _cong_report
+def test_cong_report_refuses_kernels_that_are_not_complementary(monkeypatch):
+    # a column kernel W of g(t) of rank other than 2 dim f, or a T[e_perp]
+    # whose rank does not complement T[e_f], is a violated invariant
+    from maninforge import invariants as inv
 
-    data = level_data(57)
+    data = inv.LevelData(57)
     cls = data.classes[0]
-    for carrier, (k1, _k2) in [("S", data.s_kernels(cls)),
-                               ("T", data.t_kernels(cls))]:
-        assert 2 * k1.rank != k1.ambient_dim
-        with pytest.raises(InvariantViolation, match="not complementary"):
-            _cong_report(carrier, cls.label, k1, k1)
-    # complementary ranks that meet: the module is infinite
-    k1 = IntLattice(2, [[1, 2]])
+    real = inv.poly_kernel_saturated
+    for carrier, size, match in [
+            ("S", data.space.cuspidal_rank, "column kernel of g"),
+            ("T", data.algebra.rank, "not complementary")]:
+        def one_row_short(t, g, size=size):
+            k = real(t, g)
+            return IntLattice(t.cols, k.basis.data[1:]) if t.rows == size else k
+
+        monkeypatch.setattr(inv, "poly_kernel_saturated", one_row_short)
+        with pytest.raises(InvariantViolation, match=match):
+            data.module(cls, carrier)
+    # a singular K: the module is infinite
     with pytest.raises(ValueError, match="not finite"):
-        _cong_report("S", (0, 0), k1, IntLattice(2, [[2, 4]]))
+        inv._cong_report("S", (0, 0), [[1, 2], [2, 4]])
+
+
+def test_perfect_square_tripwire_catches_a_doubled_row_of_w(monkeypatch):
+    # doubling one basis row of W doubles |det(A W^T)| = deg^2, which is
+    # then not a square
+    from maninforge import invariants as inv
+
+    data = inv.LevelData(57)
+    r = data.space.cuspidal_rank
+    real = inv.poly_kernel_saturated
+
+    def doubled(t, g):
+        k = real(t, g)
+        if t.rows != r:
+            return k
+        rows = [list(v) for v in k.basis.data]
+        rows[0] = [2 * x for x in rows[0]]
+        return IntLattice(r, rows)
+
+    monkeypatch.setattr(inv, "poly_kernel_saturated", doubled)
+    with pytest.raises(AssertionError, match="not a perfect square"):
+        data.cong_report(data.classes[0], "S")
+
+
+def test_u_p_that_is_not_plus_or_minus_one_raises(monkeypatch):
+    # U_p = -w_p on p-new forms: a U_2 acting as +-2 is a violated
+    # invariant, named with its level, class and p, not a null sign
+    from types import SimpleNamespace
+
+    from maninforge import hecke_algebra as ha
+    from maninforge import invariants as inv
+
+    data = inv.LevelData(26)
+    monkeypatch.setattr(inv, "level_data", lambda n: data)
+    real = ha.hecke
+
+    def planted(space, ell):
+        op = real(space, ell)
+        return SimpleNamespace(matrix=op.matrix.scale(2)) if ell == 2 else op
+
+    monkeypatch.setattr(ha, "hecke", planted)
+    with pytest.raises(InvariantViolation,
+                       match=r"level 26 class \(26, \d\): U_2 does not act"):
+        deg_cong_report(26)
 
 
 def test_divisibility_check_reads_memoized_m_primary_orders(monkeypatch):
